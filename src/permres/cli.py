@@ -1,8 +1,9 @@
 """Batch command-line surface with JSON/CSV envelopes, two-prime verified
 oracle values, a persistent result cache, and verification suites.
 
-Exit codes: 0 success, 2 formula/oracle mismatch or failed verification,
-3 resource cap exceeded, 4 invalid parameters.
+Exit codes: 0 success, 2 formula/oracle mismatch, failed verification,
+failed cache audit or three disagreeing primes, 3 resource cap exceeded,
+4 invalid parameters.
 """
 
 import argparse
@@ -14,8 +15,9 @@ import sys
 import time
 
 from . import __version__, formulas, lascoux, verify
-from .cache import ResultCache
+from .cache import CacheCorruptionError, ResultCache
 from .ideals import FAMILIES, IdealSpec
+from .modular import PrimeDisagreementError
 from .oracle import betti_oracle, hilbert_oracle
 from .simplicial import alexander_dual_ideal, perm2_complex, skeleton_complex
 from .tensorspace import DEFAULT_NNZ_CAP, ResourceCapError
@@ -26,6 +28,13 @@ EXIT_RESOURCE = 3
 EXIT_INVALID = 4
 
 CACHE_ENV = "PERMRES_CACHE_DIR"
+
+# failures that end in an `error` envelope: exception -> (type, exit code)
+_ERRORS = {
+    ResourceCapError: ("resource-cap", EXIT_RESOURCE),
+    CacheCorruptionError: ("cache-corruption", EXIT_MISMATCH),
+    PrimeDisagreementError: ("prime-disagreement", EXIT_MISMATCH),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -375,17 +384,18 @@ def main(argv=None):
     }
     try:
         results, primes = args.handler(args, cache_)
-    except ResourceCapError as exc:
+    except tuple(_ERRORS) as exc:
+        kind, code = _ERRORS[type(exc)]
         envelope = {
             "request": request,
-            "error": {"type": "resource-cap", "message": str(exc)},
+            "error": {"type": kind, "message": str(exc)},
             "results": [],
             "primes": [],
             "timing_seconds": round(time.perf_counter() - started, 6),
             "version": __version__,
         }
         _emit(envelope, args.format, sys.stdout)
-        return EXIT_RESOURCE
+        return code
     except (ValueError, KeyError) as exc:
         print(f"permres: invalid parameters: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -24,6 +24,10 @@ PRIME_HIGH = 1 << 31
 _DENSE_CELL_LIMIT = 4_000_000
 
 
+class PrimeDisagreementError(RuntimeError):
+    """Three primes gave three different values for the same quantity."""
+
+
 def is_prime(m):
     """Deterministic primality test (Miller-Rabin with fixed witnesses)."""
     if m < 2:
@@ -227,6 +231,6 @@ def agree_over_primes(compute, seed=0):
     )
     if v3 == v1 or v3 == v2:
         return v3, [f1.modulus, f2.modulus, f3.modulus]
-    raise RuntimeError(
+    raise PrimeDisagreementError(
         f"three primes disagree: {v1}, {v2}, {v3} - arithmetic bug"
     )

@@ -10,8 +10,18 @@ by weight vectors for the two-sided torus action on the n x n grid, and the
 square-free ideals are multigraded, so every Koszul window splits into
 independent blocks indexed by weights.  The symmetric-group action permuting
 rows and columns (or variables) preserves the ideals, so block dimensions
-only depend on the sorted weight; by default each orbit is computed once and
-scaled by its size.
+only depend on the sorted weight.  The matrix-family ideals are also
+preserved by the transpose x_ij -> x_ji, which swaps row and column weight,
+so the block (wE, wF) has the same dimensions as (wF, wE).  By default
+(`use_symmetry=True`) each orbit is computed once, at its dominant pair with
+wF <= wE, and scaled by its size; `use_symmetry=False` visits every weight
+pair and is the unreduced reference.
+
+Within a matrix-family block, the Koszul window only involves wedges (subsets
+of the grid variables) whose row and column weights both fit under the
+block's.  The wedges are indexed by row weight, then column weight, so a
+block skips whole groups that cannot fit and looks up each quotient piece
+once per group.
 """
 
 import itertools
@@ -105,6 +115,18 @@ def _nonneg(w):
 
 # ---------------------------------------------------------------------------
 # matrix families: blocks graded by (row weight, column weight)
+
+
+def _grid_orbits(total, n):
+    """One (row weight, column weight, orbit size) per orbit of weight pairs
+    of the given total under permuting rows, permuting columns and
+    transposing: the dominant pairs with wF <= wE.  Transposition swaps the
+    two weights, so an off-diagonal pair also stands for its transpose."""
+    # dominant_weights yields in decreasing order, so each pair has wF <= wE
+    weights = list(dominant_weights(total, n))
+    for wE, wF in itertools.combinations_with_replacement(weights, 2):
+        size = orbit_size(wE) * orbit_size(wF)
+        yield wE, wF, size if wE == wF else 2 * size
 
 
 class _GridBlocks:
@@ -202,16 +224,17 @@ class _GridBlocks:
 
 
 def _grid_wedges(nvars, n, r):
-    """All r-subsets of the grid variables with their weights."""
-    out = []
+    """All r-subsets of the grid variables, indexed as
+    {row weight: {column weight: [subsets]}}."""
+    index = {}
     for T in itertools.combinations(range(nvars), r):
         wE = [0] * n
         wF = [0] * n
         for v in T:
             wE[v // n] += 1
             wF[v % n] += 1
-        out.append((T, tuple(wE), tuple(wF)))
-    return out
+        index.setdefault(tuple(wE), {}).setdefault(tuple(wF), []).append(T)
+    return index
 
 
 def _grid_betti_block(blocks, wedges, i, d, w):
@@ -224,12 +247,16 @@ def _grid_betti_block(blocks, wedges, i, d, w):
         items = []
         if b < 0:
             return items
-        for (T, tE, tF) in wedges[r]:
-            mw = (_sub(w[0], tE), _sub(w[1], tF))
-            if not (_nonneg(mw[0]) and _nonneg(mw[1])):
+        for tE, by_column in wedges[r].items():
+            mE = _sub(w[0], tE)
+            if not _nonneg(mE):
                 continue
-            qbasis, _ = blocks.quotient(b, mw)
-            items.extend((T, u) for u in qbasis)
+            for tF, group in by_column.items():
+                mF = _sub(w[1], tF)
+                if not _nonneg(mF):
+                    continue
+                qbasis, _ = blocks.quotient(b, (mE, mF))
+                items.extend((T, u) for T in group for u in qbasis)
         return items
 
     middle = span(i + 1, d - i - 1)
@@ -328,7 +355,9 @@ def hilbert_oracle(spec, t, field_=None, *, use_symmetry=True,
     """dim I_t computed by brute force: rank of the multiplication matrix
     {generator * monomial} for the matrix families, and an exhaustive
     divisibility count for the square-free family.  Returns 0 for t below
-    the generator degree."""
+    the generator degree.  `use_symmetry` sums over the orbits of weight
+    pairs under row and column permutations and the transpose; False sums
+    every weight pair."""
     if t < spec.kappa:
         return 0
     if spec.family == "squarefree":
@@ -340,12 +369,8 @@ def hilbert_oracle(spec, t, field_=None, *, use_symmetry=True,
     blocks = _GridBlocks(spec, field_, cap=cap)
     total = 0
     if use_symmetry:
-        for wE in dominant_weights(t, spec.n):
-            mult_e = orbit_size(wE)
-            for wF in dominant_weights(t, spec.n):
-                r = blocks.ideal_rank(t, (wE, wF))
-                if r:
-                    total += r * mult_e * orbit_size(wF)
+        for wE, wF, size in _grid_orbits(t, spec.n):
+            total += blocks.ideal_rank(t, (wE, wF)) * size
     else:
         for wE in compositions(t, spec.n):
             for wF in compositions(t, spec.n):
@@ -380,7 +405,10 @@ def betti_oracle(spec, i, d, field_=None, *, use_symmetry=True,
     """Graded Betti number b_{i,d} of the ideal, as the Koszul homology of
     Lambda^(i+2) (x) (S/I)_(d-i-2) -> Lambda^(i+1) (x) (S/I)_(d-i-1)
     -> Lambda^i (x) (S/I)_(d-i): nullity of the second map minus rank of the
-    first."""
+    first.  `use_symmetry` computes one block per orbit of weights (per
+    orbit of weight pairs under row and column permutations and the
+    transpose for the matrix families) and scales it by the orbit size;
+    False computes every block."""
     if i < 0:
         raise ValueError("step must be nonnegative")
     if field_ is None:
@@ -399,16 +427,11 @@ def betti_oracle(spec, i, d, field_=None, *, use_symmetry=True,
                 total += _sq_betti_block(n, kappa, i, d, mdeg, p)
         return total
     blocks = _GridBlocks(spec, field_, cap=cap)
-    nvars = spec.nvars
-    wedges = {r: _grid_wedges(nvars, spec.n, r) if 0 <= r <= nvars else []
+    wedges = {r: _grid_wedges(spec.nvars, spec.n, r)
               for r in (i, i + 1, i + 2)}
     if use_symmetry:
-        for wE in dominant_weights(d, spec.n):
-            mult_e = orbit_size(wE)
-            for wF in dominant_weights(d, spec.n):
-                h = _grid_betti_block(blocks, wedges, i, d, (wE, wF))
-                if h:
-                    total += h * mult_e * orbit_size(wF)
+        for wE, wF, size in _grid_orbits(d, spec.n):
+            total += _grid_betti_block(blocks, wedges, i, d, (wE, wF)) * size
     else:
         for wE in compositions(d, spec.n):
             for wF in compositions(d, spec.n):

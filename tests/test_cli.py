@@ -1,9 +1,13 @@
 import csv
+import functools
 import io
 import json
+import os
 
 import pytest
 
+from permres import cli
+from permres.cache import HEADER_PREFIX, ResultCache
 from permres.cli import (
     EXIT_INVALID,
     EXIT_MISMATCH,
@@ -169,6 +173,43 @@ def test_resource_cap_exit_code(capsys, tmp_path):
     )
     assert code == EXIT_RESOURCE
     assert env["error"]["type"] == "resource-cap"
+    assert env["results"] == []
+
+
+def test_cache_corruption_exit_code(capsys, tmp_path, monkeypatch):
+    argv = ["hilbert", "--family", "subpermanents", "-n", "3", "-k", "2",
+            "--t", "3", "--mode", "oracle", "--cache-dir", str(tmp_path)]
+    code, env = run_json(capsys, *argv)
+    assert code == EXIT_OK and env["results"][0]["oracle"] == 77
+    paths = [os.path.join(root, f) for root, _, fs in os.walk(str(tmp_path))
+             for f in fs]
+    assert len(paths) == 2  # one file per prime
+    for path in paths:
+        with open(path) as fh:
+            header = fh.readline()
+        assert header.startswith(HEADER_PREFIX)
+        with open(path, "w") as fh:
+            fh.write(f"{header}78\n")
+    # audit every cache hit
+    monkeypatch.setattr(cli, "ResultCache",
+                        functools.partial(ResultCache, audit_fraction=1))
+    code, env = run_json(capsys, *argv)
+    assert code == EXIT_MISMATCH
+    assert env["error"]["type"] == "cache-corruption"
+    assert "78" in env["error"]["message"]
+    assert env["results"] == []
+
+
+def test_prime_disagreement_exit_code(capsys, tmp_path, monkeypatch):
+    # a compute whose value depends on the prime: all three primes disagree
+    monkeypatch.setattr(cli, "betti_oracle",
+                        lambda spec, i, d, field_, cap: field_.modulus)
+    code, env = run_json(
+        capsys, "betti", "--family", "minors", "-n", "3", "-k", "2",
+        "--steps", "1", "--mode", "oracle", "--cache-dir", str(tmp_path),
+    )
+    assert code == EXIT_MISMATCH
+    assert env["error"]["type"] == "prime-disagreement"
     assert env["results"] == []
 
 

@@ -1,10 +1,16 @@
+import itertools
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enumeration import count_monomials_with_support, naive_betti
-from permres.ideals import IdealSpec
+from permres.ideals import FAMILIES, IdealSpec
 from permres.oracle import (
+    _grid_betti_block,
+    _grid_wedges,
+    _GridBlocks,
     betti_cells,
     betti_oracle,
     compositions,
@@ -138,6 +144,49 @@ def test_betti_symmetry_paths_agree(field):
         spec = IdealSpec(family, n, kappa)
         assert betti_oracle(spec, i, d, field, use_symmetry=True) == \
             betti_oracle(spec, i, d, field, use_symmetry=False)
+
+
+def test_grid_blocks_transpose_symmetry(field):
+    # x_ij -> x_ji preserves both matrix-family ideals and swaps row and
+    # column weight, so a block and its transpose agree; the oracle counts
+    # each off-diagonal dominant pair twice on the strength of this
+    for family in ("subpermanents", "minors"):
+        nonzero = 0
+        for n, kappa, cells in (
+            (2, 2, ((0, 2), (1, 4))),
+            (3, 2, ((0, 2), (1, 3), (1, 4), (2, 4))),
+            (3, 3, ((0, 3), (1, 4))),
+        ):
+            spec = IdealSpec(family, n, kappa)
+            blocks = _GridBlocks(spec, field)
+            for i, d in cells:
+                wedges = {r: _grid_wedges(spec.nvars, n, r)
+                          for r in (i, i + 1, i + 2)}
+                for wE, wF in itertools.combinations(
+                        dominant_weights(d, n), 2):
+                    h = _grid_betti_block(blocks, wedges, i, d, (wE, wF))
+                    assert h == _grid_betti_block(
+                        blocks, wedges, i, d, (wF, wE)
+                    ), (family, n, kappa, i, d, wE, wF)
+                    nonzero += h != 0
+                    assert blocks.ideal_rank(d, (wE, wF)) == \
+                        blocks.ideal_rank(d, (wF, wE))
+        # the comparison is not vacuous: some off-diagonal block has homology
+        assert nonzero, family
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(family=st.sampled_from(FAMILIES), n=st.integers(1, 3),
+       data=st.data())
+def test_symmetry_paths_agree_property(field, family, n, data):
+    kappa = data.draw(st.integers(1, n), label="kappa")
+    i = data.draw(st.integers(0, 2), label="step")
+    d = data.draw(st.integers(kappa + i, kappa + i + 1), label="degree")
+    spec = IdealSpec(family, n, kappa)
+    assert betti_oracle(spec, i, d, field, use_symmetry=True) == \
+        betti_oracle(spec, i, d, field, use_symmetry=False)
+    assert hilbert_oracle(spec, d, field, use_symmetry=True) == \
+        hilbert_oracle(spec, d, field, use_symmetry=False)
 
 
 def test_betti_matches_naive_whole_space_computation(field):
