@@ -385,7 +385,9 @@ def main(argv=None):
     try:
         results, primes = args.handler(args, cache_)
     except tuple(_ERRORS) as exc:
-        kind, code = _ERRORS[type(exc)]
+        # the nearest mapped class, so subclasses of a mapped error map too
+        kind, code = next(_ERRORS[cls] for cls in type(exc).__mro__
+                          if cls in _ERRORS)
         envelope = {
             "request": request,
             "error": {"type": kind, "message": str(exc)},

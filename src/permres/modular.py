@@ -3,9 +3,14 @@
 Rank over F_p lower-bounds rank over Q and equals it unless p divides one of
 finitely many minors; agreement over two independently chosen 31-bit primes
 is the acceptance gate (silent error probability below 2^-30 per entry).
-All eliminations are deterministic for a fixed prime.
+
+Rank has one kernel, `rank_of_rows`: sparse Markowitz-style pivots picked
+through a bucket queue of row lengths, then a dense vectorized finish once
+the active part has filled in.  All eliminations, and so the pivot sequence
+of every rank, are deterministic for a fixed prime.
 """
 
+import heapq
 import logging
 import random
 from dataclasses import dataclass
@@ -20,8 +25,14 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 PRIME_LOW = 1 << 30
 PRIME_HIGH = 1 << 31
 
-# Above this many cells the dense numpy path is not attempted.
-_DENSE_CELL_LIMIT = 4_000_000
+# The sparse elimination hands its active part to the dense finish once the
+# active rows hold more than this share of (active rows) x (occupied columns)
+# cells, unless fewer than `_DENSE_MIN_ROWS` rows are left.  On the oracle's
+# Koszul blocks (a few entries per row) fill-in passes 0.1 only late, after
+# most pivots are taken, and the vectorized finish of the dense rest is then
+# cheaper than continuing row by row.
+_DENSE_FILL = 0.1
+_DENSE_MIN_ROWS = 128
 
 
 class PrimeDisagreementError(RuntimeError):
@@ -97,17 +108,96 @@ def prime_fields(seed, count=2):
 def rank_of_rows(rows, p, ncols=None):
     """Rank over F_p of a matrix given as sparse rows ({col: coeff}).
 
-    Small matrices go through a vectorized dense elimination; larger ones
-    through sparse elimination with Markowitz-style pivoting.
+    One kernel for every shape: Markowitz-style sparse elimination that
+    pivots in the shortest active row (lowest row index among equals), at
+    the column of that row with the fewest occupants (lowest column among
+    equals), so the pivot sequence is deterministic for a fixed prime.  The
+    shortest row comes from a bucket queue keyed by row length.  Once the
+    active part fills in (see `_DENSE_FILL`), its rows and occupied columns
+    are compacted and finished by `_rank_dense`.  `ncols` may name a width
+    beyond the largest column used; the rank does not depend on it.
     """
-    rows = [r for r in rows if r]
-    if not rows:
-        return 0
-    if ncols is None:
-        ncols = max(max(r) for r in rows) + 1
-    if len(rows) * ncols <= _DENSE_CELL_LIMIT:
-        return _rank_dense(rows, ncols, p)
-    return _rank_sparse(rows, p)
+    active = {}      # row index -> {col: nonzero coeff mod p}
+    col_rows = {}    # occupied col -> indices of the active rows using it
+    for row in rows:
+        r = {c: v % p for c, v in row.items() if v % p}
+        if r:
+            i = len(active)
+            active[i] = r
+            for c in r:
+                if c in col_rows:
+                    col_rows[c].add(i)
+                else:
+                    col_rows[c] = {i}
+    # buckets[n] is a heap of the indices of rows last seen with n entries;
+    # an entry is stale once its row is gone or has another length
+    buckets = {}
+    nnz = 0
+    for i, r in active.items():
+        buckets.setdefault(len(r), []).append(i)  # ascending: already heaps
+        nnz += len(r)
+    shortest = min(buckets, default=0)
+    rank = 0
+    while active:
+        if (len(active) >= _DENSE_MIN_ROWS
+                and nnz > _DENSE_FILL * len(active) * len(col_rows)):
+            index = {c: k for k, c in enumerate(sorted(col_rows))}
+            rest = [{index[c]: v for c, v in active[i].items()}
+                    for i in sorted(active)]
+            return rank + _rank_dense(rest, len(index), p)
+        while True:
+            bucket = buckets.get(shortest)
+            if not bucket:
+                shortest += 1
+                continue
+            i = heapq.heappop(bucket)
+            row = active.get(i)
+            if row is not None and len(row) == shortest:
+                break
+        del active[i]
+        nnz -= len(row)
+        rank += 1
+        c = min(row, key=lambda cc: (len(col_rows[cc]), cc))
+        for cc in row:
+            users = col_rows[cc]
+            users.discard(i)
+            if not users:
+                del col_rows[cc]
+        occupants = col_rows.pop(c, ())
+        if not occupants:
+            continue
+        # every other column of the pivot row has at least len(occupants)
+        # other users (else it would be the pivot column), so its user set
+        # still exists whenever an occupant gains an entry in it below
+        inv = pow(row[c], p - 2, p)
+        pivot = [(cc, vv * inv % p) for cc, vv in row.items() if cc != c]
+        for j in occupants:
+            other = active[j]
+            before = len(other)
+            f = other.pop(c)
+            for cc, vv in pivot:
+                old = other.get(cc)
+                if old is None:
+                    other[cc] = -f * vv % p
+                    col_rows[cc].add(j)
+                else:
+                    new = (old - f * vv) % p
+                    if new:
+                        other[cc] = new
+                    else:
+                        del other[cc]
+                        users = col_rows[cc]
+                        users.discard(j)
+                        if not users:
+                            del col_rows[cc]
+            after = len(other)
+            nnz += after - before
+            if not after:
+                del active[j]
+            elif after != before:
+                heapq.heappush(buckets.setdefault(after, []), j)
+                shortest = min(shortest, after)
+    return rank
 
 
 def _rank_dense(rows, ncols, p):
@@ -132,43 +222,6 @@ def _rank_dense(rows, ncols, p):
         if below.size:
             a[below] = (a[below] - a[below, col][:, None] * a[rank]) % p
         rank += 1
-    return rank
-
-
-def _rank_sparse(rows, p):
-    """Markowitz-style sparse elimination: pivot in the shortest active row,
-    at the column with the fewest other occupants."""
-    active = {i: {c: v % p for c, v in row.items() if v % p} for i, row in
-              enumerate(rows)}
-    active = {i: r for i, r in active.items() if r}
-    col_rows = {}
-    for i, row in active.items():
-        for c in row:
-            col_rows.setdefault(c, set()).add(i)
-    rank = 0
-    while active:
-        i = min(active, key=lambda k: (len(active[k]), k))
-        row = active.pop(i)
-        c = min(row, key=lambda cc: (len(col_rows[cc]), cc))
-        inv = pow(row[c], p - 2, p)
-        row = {cc: vv * inv % p for cc, vv in row.items()}
-        for cc in row:
-            col_rows[cc].discard(i)
-        rank += 1
-        for j in list(col_rows[c]):
-            other = active[j]
-            f = other[c]
-            for cc, vv in row.items():
-                new = (other.get(cc, 0) - f * vv) % p
-                if new:
-                    if cc not in other:
-                        col_rows[cc].add(j)
-                    other[cc] = new
-                elif cc in other:
-                    del other[cc]
-                    col_rows[cc].discard(j)
-            if not other:
-                del active[j]
     return rank
 
 

@@ -17,6 +17,7 @@ from permres.cli import (
     _parse_range,
     main,
 )
+from permres.tensorspace import ResourceCapError
 
 
 def run_cli(capsys, *argv):
@@ -210,6 +211,24 @@ def test_prime_disagreement_exit_code(capsys, tmp_path, monkeypatch):
     )
     assert code == EXIT_MISMATCH
     assert env["error"]["type"] == "prime-disagreement"
+    assert env["results"] == []
+
+
+def test_error_subclass_maps_like_its_base(capsys, tmp_path, monkeypatch):
+    class WedgeCapError(ResourceCapError):
+        pass
+
+    def capped(spec, i, d, field_, cap):
+        raise WedgeCapError("wedge window over cap")
+
+    monkeypatch.setattr(cli, "betti_oracle", capped)
+    code, env = run_json(
+        capsys, "betti", "--family", "minors", "-n", "3", "-k", "2",
+        "--steps", "1", "--mode", "oracle", "--cache-dir", str(tmp_path),
+    )
+    assert code == EXIT_RESOURCE
+    assert env["error"] == {"type": "resource-cap",
+                            "message": "wedge window over cap"}
     assert env["results"] == []
 
 

@@ -1,8 +1,15 @@
+import itertools
+import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from permres import modular
 from permres.modular import (
+    PrimeDisagreementError,
     PrimeField,
     agree_over_primes,
     is_prime,
@@ -11,7 +18,6 @@ from permres.modular import (
     rank_of_rows,
     rref_of_rows,
     _rank_dense,
-    _rank_sparse,
 )
 
 
@@ -66,7 +72,7 @@ def test_rank_engines_agree():
         rows = _random_rows(rng, rng.randint(1, 12), rng.randint(1, 12),
                             rng.choice([0.2, 0.5, 0.9]), p)
         ncols = max((max(r) + 1 for r in rows if r), default=1)
-        assert _rank_sparse(rows, p) == _rank_dense(
+        assert rank_of_rows(rows, p) == _rank_dense(
             [r for r in rows if r], ncols, p
         )
 
@@ -92,6 +98,125 @@ def test_rank_known_values():
     # 3x3 singular integer matrix
     rows = [{0: 1, 1: 2, 2: 3}, {0: 4, 1: 5, 2: 6}, {0: 7, 1: 8, 2: 9}]
     assert rank_of_rows(rows, p) == 2
+
+
+def _rank_and_dense_finishes(rows, p, ncols=None):
+    """The kernel's rank, and how often it handed off to `_rank_dense`."""
+    with mock.patch.object(modular, "_rank_dense", wraps=_rank_dense) as dense:
+        rank = rank_of_rows(rows, p, ncols)
+    return rank, dense.call_count
+
+
+def _dense_rank_of_used_columns(rows, p):
+    """`_rank_dense` on the matrix with its unused columns dropped."""
+    used = sorted({c for row in rows for c, v in row.items() if v % p})
+    index = {c: k for k, c in enumerate(used)}
+    compact = [{index[c]: v for c, v in row.items() if v % p} for row in rows]
+    return _rank_dense([r for r in compact if r], len(used), p)
+
+
+def _sparse_factor(rng, nrows, ncols, per_row, p):
+    """Random sparse rows; row t < ncols also uses column t, so that the
+    factor has full rank for generic coefficients."""
+    rows = []
+    for t in range(nrows):
+        cols = set(rng.sample(range(ncols), per_row))
+        if t < ncols:
+            cols.add(t)
+        rows.append({c: rng.randrange(1, p) for c in cols})
+    return rows
+
+
+def _product(left, right, p):
+    """left . right over F_p, both as sparse rows."""
+    out = []
+    for row in left:
+        acc = {}
+        for t, a in row.items():
+            for c, b in right[t].items():
+                acc[c] = (acc.get(c, 0) + a * b) % p
+        out.append({c: v for c, v in acc.items() if v})
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("rank", [185, 195])
+def test_planted_rank_with_dense_finish(seed, rank):
+    # B (300 x rank) has full column rank and C (rank x 200) full row rank,
+    # so B.C has rank exactly `rank`; about 6 entries per row fill in far
+    # enough that the kernel hands its rest to the dense finish
+    p = prime_fields(0, 1)[0].modulus
+    rng = random.Random(seed)
+    left = _sparse_factor(rng, 300, rank, 1, p)
+    right = _sparse_factor(rng, rank, 200, 3, p)
+    assert _rank_dense(left, rank, p) == rank
+    assert _rank_dense(right, 200, p) == rank
+    rows = _product(left, right, p)
+    got, finishes = _rank_and_dense_finishes(rows, p)
+    assert finishes == 1
+    assert got == rank == _dense_rank_of_used_columns(rows, p)
+
+
+def _simplex_boundary(m, k):
+    """Boundary map from k-faces to (k-1)-faces of the simplex on m
+    vertices, as +-1 rows; its rank is C(m-1, k)."""
+    faces = {f: i for i, f in
+             enumerate(itertools.combinations(range(m), k))}
+    return [{faces[s[:j] + s[j + 1:]]: (-1) ** j for j in range(k + 1)}
+            for s in itertools.combinations(range(m), k + 1)]
+
+
+@pytest.mark.parametrize("m,k", [(10, 3), (10, 4), (11, 3)])
+def test_koszul_like_rank_deficient_finish_sparse(m, k):
+    p = prime_fields(0, 1)[0].modulus
+    rows = _simplex_boundary(m, k)
+    assert len(rows) > modular._DENSE_MIN_ROWS
+    got, finishes = _rank_and_dense_finishes(rows, p)
+    assert finishes == 0
+    assert got == math.comb(m - 1, k) == _dense_rank_of_used_columns(rows, p)
+
+
+def test_rank_degenerate_inputs():
+    p = prime_fields(0, 1)[0].modulus
+    assert rank_of_rows([], p) == 0
+    assert rank_of_rows([{}, {}], p) == 0
+    assert rank_of_rows(iter([{0: 1}, {1: 1}]), p) == 2
+    # entries that are multiples of p are zeros
+    assert rank_of_rows([{0: p, 3: -2 * p}, {1: 3 * p}], p) == 0
+    assert rank_of_rows([{0: p, 1: 1}, {0: 1, 1: p + 1}, {2: p}], p) == 2
+    # a width beyond the largest column used changes nothing, also when
+    # the kernel hands off to the dense finish
+    rng = random.Random(5)
+    rows = [{c: rng.randrange(1, p) for c in rng.sample(range(150), 6)}
+            for _ in range(260)]
+    assert _rank_and_dense_finishes(rows, p)[1] == 1
+    got = rank_of_rows(rows, p)
+    assert got == rank_of_rows(rows, p, ncols=10_000)
+    assert got == _dense_rank_of_used_columns(rows, p)
+
+
+@settings(deadline=None, derandomize=True, max_examples=25)
+@given(nrows=st.integers(140, 180), per_row=st.integers(10, 12),
+       data=st.data())
+def test_rank_kernel_property(nrows, per_row, data):
+    # about square with ten or more entries per row: the kernel hands off
+    # to the dense finish, and the rows are independent, so a row lost on
+    # the way changes the rank
+    p = prime_fields(0, 1)[0].modulus
+    ncols = nrows + data.draw(st.integers(0, 4), label="extra columns")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    rows = [{c: rng.randrange(1, p) for c in rng.sample(range(ncols), per_row)}
+            for _ in range(nrows)]
+    got, finishes = _rank_and_dense_finishes(rows, p)
+    assert finishes == 1
+    assert got == _rank_dense(rows, ncols, p)
+    # permute rows and columns, scale each row by a nonzero constant
+    perm = list(range(ncols))
+    rng.shuffle(perm)
+    moved = [{perm[c]: v * s % p for c, v in row.items()}
+             for row, s in zip(rows, (rng.randrange(1, p) for _ in rows))]
+    rng.shuffle(moved)
+    assert rank_of_rows(moved, p) == got
 
 
 def test_rref_is_fully_reduced():
@@ -145,5 +270,5 @@ def test_agree_over_primes_tie_break(caplog):
 
 def test_agree_over_primes_triple_disagreement():
     counter = iter((1, 2, 3))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(PrimeDisagreementError):
         agree_over_primes(lambda f: next(counter), seed=1)
