@@ -33,13 +33,7 @@ from .lascoux import (
     resolution_via_bott,
 )
 from .modular import PrimeField, agree_over_primes, prime_fields
-from .oracle import (
-    BettiTable,
-    GradedDims,
-    betti_oracle,
-    hilbert_oracle,
-    quotient_basis,
-)
+from .oracle import betti_oracle, hilbert_oracle, quotient_basis
 from .partitions import conjugate, induced_dim, schur_dim, specht_dim
 from .simplicial import (
     SimplicialComplex,
@@ -57,9 +51,7 @@ from .tensorspace import (
 )
 
 __all__ = [
-    "BettiTable",
     "BottOutcome",
-    "GradedDims",
     "IdealSpec",
     "PrimeField",
     "ResolutionTerm",

@@ -7,19 +7,9 @@ linear strand of an ideal generated in degree kappa sits in degrees
 kappa + j - 1.
 """
 
-from dataclasses import dataclass
 from math import comb
 
 from .partitions import hook_partition, schur_dim
-
-
-@dataclass(frozen=True)
-class FormulaResult:
-    """A closed-form value tagged with the formula that produced it."""
-
-    formula_id: str
-    inputs: tuple
-    value: int
 
 
 def _comb0(a, b):
@@ -168,24 +158,3 @@ def det_linear_strand_dim(n, r, j):
             hook_partition(b + 1, r + a), n
         )
     return total
-
-
-_REGISTRY = {
-    "perm_linear_strand_dim": perm_linear_strand_dim,
-    "perm2_f_vector": perm2_f_vector,
-    "perm2_hilbert_polynomial": perm2_hilbert_polynomial,
-    "perm2_quotient_hilbert": perm2_quotient_hilbert,
-    "perm2_ideal_hilbert": perm2_ideal_hilbert,
-    "sqfree_ideal_hilbert": sqfree_ideal_hilbert,
-    "sqfree_quotient_hilbert": sqfree_quotient_hilbert,
-    "sqfree_betti": sqfree_betti,
-    "det_linear_strand_dim": det_linear_strand_dim,
-}
-
-
-def evaluate(formula_id, *args, **kwargs):
-    """Evaluate a registered formula into a FormulaResult."""
-    fn = _REGISTRY[formula_id]
-    value = fn(*args, **kwargs)
-    return FormulaResult(formula_id, args + tuple(sorted(kwargs.items())),
-                         value)

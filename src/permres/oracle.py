@@ -5,31 +5,37 @@ closed-form formula in this package.
 Step convention: step 0 of a Betti table is the space of minimal generators
 of the ideal, so step i in degree d is Tor_{i+1}(S/I, C)_d.
 
-Both oracles exploit the torus grading: the matrix-family ideals are spanned
-by weight vectors for the two-sided torus action on the n x n grid, and the
-square-free ideals are multigraded, so every Koszul window splits into
-independent blocks indexed by weights.  The symmetric-group action permuting
-rows and columns (or variables) preserves the ideals, so block dimensions
-only depend on the sorted weight.  The matrix-family ideals are also
-preserved by the transpose x_ij -> x_ji, which swaps row and column weight,
-so the block (wE, wF) has the same dimensions as (wF, wE).  By default
-(`use_symmetry=True`) each orbit is computed once, at its dominant pair with
-wF <= wE, and scaled by its size; `use_symmetry=False` visits every weight
-pair and is the unreduced reference.
+One engine serves all three families.  Each ideal is spanned by weight
+vectors for a torus, so every graded piece of S/I, and every Koszul window,
+splits into independent blocks indexed by weights: (row weight, column
+weight) for the two-sided torus on the n x n grid of the matrix families,
+and the multidegree, the case of the diagonal torus of the n variables, for
+the square-free family.  A family enters only through its graded quotient:
+how variables add to a weight, the weights of a degree with their orbit
+multiplicities, the ideal's dimension in a block, and the block's quotient
+basis with a reduction map.
 
-Within a matrix-family block, the Koszul window only involves wedges (subsets
-of the grid variables) whose row and column weights both fit under the
-block's.  The wedges are indexed by row weight, then column weight, so a
-block skips whole groups that cannot fit and looks up each quotient piece
-once per group.
+Permuting rows and columns (or variables) preserves the ideals, so block
+dimensions only depend on the sorted weight; the transpose x_ij -> x_ji
+preserves the matrix-family ideals and swaps row and column weight.  By
+default (`use_symmetry=True`) each orbit is computed once, at its dominant
+weight (for the matrix families the pair with wF <= wE), and scaled by its
+size; `use_symmetry=False` visits every weight and is the unreduced
+reference.
+
+A block's Koszul window only involves wedges (subsets of the variables)
+whose weight fits under the block's.  The wedges are indexed by the outer
+part of their weight (row weight, or multidegree), then the inner part
+(column weight, or nothing), so a block skips whole groups that cannot fit
+and looks up each quotient piece once per group.
 """
 
+import functools
 import itertools
-import time
-from dataclasses import dataclass, field
+import operator
 from math import factorial
 
-from .ideals import IdealSpec, expand_generators
+from .ideals import expand_generators
 from .modular import prime_fields, rank_of_rows, rref_of_rows
 from .tensorspace import (
     DEFAULT_NNZ_CAP,
@@ -39,31 +45,6 @@ from .tensorspace import (
     monomials,
     monomials_with_weight,
 )
-
-
-def default_field(seed=0):
-    return prime_fields(seed, 1)[0]
-
-
-@dataclass
-class GradedDims:
-    """Hilbert-function values with provenance metadata."""
-
-    spec: IdealSpec
-    dims: dict
-    primes: list
-    seconds: float
-
-
-@dataclass
-class BettiTable:
-    """Graded Betti numbers (step, degree) -> value; step 0 = generators."""
-
-    spec: IdealSpec
-    entries: dict
-    source: str
-    primes: list = field(default_factory=list)
-    seconds: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -106,57 +87,81 @@ def orbit_size(w):
 
 
 def _sub(w, v):
-    return tuple(a - b for a, b in zip(w, v))
+    return tuple(map(operator.sub, w, v))
 
 
 def _nonneg(w):
-    return all(x >= 0 for x in w)
+    return min(w, default=0) >= 0
 
 
 # ---------------------------------------------------------------------------
-# matrix families: blocks graded by (row weight, column weight)
+# graded quotients: one per family
 
 
-def _grid_orbits(total, n):
-    """One (row weight, column weight, orbit size) per orbit of weight pairs
-    of the given total under permuting rows, permuting columns and
-    transposing: the dominant pairs with wF <= wE.  Transposition swaps the
-    two weights, so an off-diagonal pair also stands for its transpose."""
-    # dominant_weights yields in decreasing order, so each pair has wF <= wE
-    weights = list(dominant_weights(total, n))
-    for wE, wF in itertools.combinations_with_replacement(weights, 2):
-        size = orbit_size(wE) * orbit_size(wF)
-        yield wE, wF, size if wE == wF else 2 * size
+class _GradedQuotient:
+    """S/I for one ideal over one prime field, split into blocks by degree b
+    and weight w, a pair (outer, inner) of tuples.  A family says how
+    variables add to a weight (`wedge_weight`), the weights of a degree with
+    their orbit multiplicities (`weights`), the ideal's dimension in a block
+    (`ideal_rank`), and the block's quotient basis with a reduction map
+    (`_piece`, memoised by `quotient`)."""
 
-
-class _GridBlocks:
-    """Cached per-(degree, weight) elimination data for a matrix-family
-    ideal: monomial bases, ideal ranks, and reduced quotient representatives."""
-
-    def __init__(self, spec, field_, cap=DEFAULT_NNZ_CAP):
+    def __init__(self, spec, field_, cap):
         self.n = spec.n
+        self.nvars = spec.nvars
         self.kappa = spec.kappa
         self.p = field_.modulus
         self.cap = cap
+        self._quotient = {}
+
+    def quotient(self, b, w):
+        """(quotient basis monomials, reduction map) for degree b, weight w;
+        the reduction map rewrites every monomial of the block as a
+        combination of basis monomials mod I."""
+        key = (b, w)
+        if key not in self._quotient:
+            self._quotient[key] = self._piece(b, w)
+        return self._quotient[key]
+
+
+class _GridQuotient(_GradedQuotient):
+    """A matrix-family ideal, graded by (row weight, column weight)."""
+
+    @staticmethod
+    def wedge_weight(n, T):
+        """(row weight, column weight) of grid variables: v adds one to row
+        v // n and to column v % n."""
+        wE = [0] * n
+        wF = [0] * n
+        for v in T:
+            wE[v // n] += 1
+            wF[v % n] += 1
+        return tuple(wE), tuple(wF)
+
+    def __init__(self, spec, field_, cap):
+        super().__init__(spec, field_, cap)
         self.gens_by_weight = {}
         for g in expand_generators(spec):
             mono = next(iter(g.terms))[0]
             w = mono_weight(mono, self.n)
             self.gens_by_weight.setdefault(w, []).append(g)
-        self._monos = {}
-        self._rank = {}
-        self._quotient = {}
 
-    def monos(self, b, w):
-        key = (b, w)
-        if key not in self._monos:
-            if b < 0:
-                self._monos[key] = []
-            else:
-                self._monos[key] = monomials_with_weight(self.n, w[0], w[1])
-        return self._monos[key]
+    def weights(self, total, use_symmetry):
+        """One pair per orbit under permuting rows, permuting columns and
+        transposing (the dominant pairs with wF <= wE, since transposing
+        swaps the two), or every pair once."""
+        if not use_symmetry:
+            for wE in compositions(total, self.n):
+                for wF in compositions(total, self.n):
+                    yield (wE, wF), 1
+            return
+        # dominant_weights yields in decreasing order, so each pair has wF <= wE
+        dominant = list(dominant_weights(total, self.n))
+        for wE, wF in itertools.combinations_with_replacement(dominant, 2):
+            size = orbit_size(wE) * orbit_size(wF)
+            yield (wE, wF), size if wE == wF else 2 * size
 
-    def _spanning_rows(self, b, w, index):
+    def _spanning_rows(self, w, index):
         rows = []
         nnz = 0
         for (gwE, gwF), gens in self.gens_by_weight.items():
@@ -177,172 +182,170 @@ class _GridBlocks:
         return rows
 
     def ideal_rank(self, b, w):
-        """dim of the ideal's piece of degree b and weight w."""
-        key = (b, w)
-        if key not in self._rank:
-            if b < self.kappa:
-                self._rank[key] = 0
+        monos = monomials_with_weight(self.n, w[0], w[1])
+        index = {m: i for i, m in enumerate(monos)}
+        return rank_of_rows(self._spanning_rows(w, index), self.p,
+                            ncols=len(monos))
+
+    def _piece(self, b, w):
+        """The quotient basis is the complement of the pivot monomials of
+        the fully reduced echelon form of the ideal's block."""
+        monos = monomials_with_weight(self.n, w[0], w[1])
+        index = {m: i for i, m in enumerate(monos)}
+        pivots = rref_of_rows(self._spanning_rows(w, index), self.p)
+        qbasis = [m for m in monos if index[m] not in pivots]
+        reduce_map = {}
+        for m in monos:
+            i = index[m]
+            if i not in pivots:
+                reduce_map[m] = {m: 1}
             else:
-                monos = self.monos(b, w)
-                index = {m: i for i, m in enumerate(monos)}
-                rows = self._spanning_rows(b, w, index)
-                self._rank[key] = rank_of_rows(rows, self.p, ncols=len(monos))
-        return self._rank[key]
-
-    def quotient(self, b, w):
-        """(quotient basis monomials, reduction map) for degree b, weight w.
-
-        The quotient basis is the complement of the pivot monomials of the
-        fully reduced echelon form of the ideal's block; the reduction map
-        rewrites any monomial as a combination of basis monomials mod I.
-        """
-        key = (b, w)
-        if key in self._quotient:
-            return self._quotient[key]
-        monos = self.monos(b, w)
-        if b < self.kappa:
-            result = (monos, {m: {m: 1} for m in monos})
-        else:
-            index = {m: i for i, m in enumerate(monos)}
-            rows = self._spanning_rows(b, w, index)
-            pivots = rref_of_rows(rows, self.p)
-            qbasis = [m for m in monos if index[m] not in pivots]
-            reduce_map = {}
-            for m in monos:
-                i = index[m]
-                if i not in pivots:
-                    reduce_map[m] = {m: 1}
-                else:
-                    reduce_map[m] = {
-                        monos[c]: -v % self.p
-                        for c, v in pivots[i].items()
-                        if c != i
-                    }
-            result = (qbasis, reduce_map)
-        self._quotient[key] = result
-        return result
+                reduce_map[m] = {
+                    monos[c]: -v % self.p
+                    for c, v in pivots[i].items()
+                    if c != i
+                }
+        return qbasis, reduce_map
 
 
-def _grid_wedges(nvars, n, r):
-    """All r-subsets of the grid variables, indexed as
-    {row weight: {column weight: [subsets]}}."""
-    index = {}
-    for T in itertools.combinations(range(nvars), r):
-        wE = [0] * n
-        wF = [0] * n
+class _SquarefreeQuotient(_GradedQuotient):
+    """The ideal of degree-kappa square-free monomials, graded by
+    multidegree.  A multidegree holds a single monomial, which lies outside
+    the ideal iff it involves fewer than kappa distinct variables, so a
+    block's quotient basis is that monomial or nothing and its reduction map
+    is the identity or zero."""
+
+    @staticmethod
+    def wedge_weight(n, T):
+        """(multidegree, ()) of variables: v adds one to coordinate v."""
+        w = [0] * n
         for v in T:
-            wE[v // n] += 1
-            wF[v % n] += 1
-        index.setdefault(tuple(wE), {}).setdefault(tuple(wF), []).append(T)
-    return index
+            w[v] += 1
+        return tuple(w), ()
+
+    def weights(self, total, use_symmetry):
+        """One multidegree per orbit under permuting the variables, or every
+        multidegree once."""
+        if use_symmetry:
+            for w in dominant_weights(total, self.n):
+                yield (w, ()), orbit_size(w)
+        else:
+            for w in compositions(total, self.n):
+                yield (w, ()), 1
+
+    def ideal_rank(self, b, w):
+        return int(len(w[0]) - w[0].count(0) >= self.kappa)
+
+    def _piece(self, b, w):
+        mono = tuple((v, e) for v, e in enumerate(w[0]) if e)
+        if len(mono) < self.kappa:
+            return [mono], {mono: {mono: 1}}
+        return [], {mono: {}}
 
 
-def _grid_betti_block(blocks, wedges, i, d, w):
-    """Homology dimension of the weight-w block of the Koszul window
-    Lambda^(i+2) (x) (S/I)_(d-i-2) -> Lambda^(i+1) (x) (S/I)_(d-i-1)
-    -> Lambda^i (x) (S/I)_(d-i)."""
-    p = blocks.p
-
-    def span(r, b):
-        items = []
-        if b < 0:
-            return items
-        for tE, by_column in wedges[r].items():
-            mE = _sub(w[0], tE)
-            if not _nonneg(mE):
-                continue
-            for tF, group in by_column.items():
-                mF = _sub(w[1], tF)
-                if not _nonneg(mF):
-                    continue
-                qbasis, _ = blocks.quotient(b, (mE, mF))
-                items.extend((T, u) for T in group for u in qbasis)
-        return items
-
-    middle = span(i + 1, d - i - 1)
-    if not middle:
-        return 0
-    top = span(i + 2, d - i - 2)
-    bottom_index = {x: j for j, x in enumerate(span(i, d - i))}
-    middle_index = {x: j for j, x in enumerate(middle)}
-    n = blocks.n
-
-    def differential(T, u, b_next, target_index):
-        col = {}
-        for a, v in enumerate(T):
-            T2 = T[:a] + T[a + 1:]
-            wE = list(w[0])
-            wF = list(w[1])
-            for vv in T2:
-                wE[vv // n] -= 1
-                wF[vv % n] -= 1
-            mw = (tuple(wE), tuple(wF))
-            _, reduce_map = blocks.quotient(b_next, mw)
-            for m2, c2 in reduce_map[mono_times_var(u, v)].items():
-                j = target_index.get((T2, m2))
-                if j is not None:
-                    col[j] = (col.get(j, 0) + (-1) ** a * c2) % p
-        return {k: v for k, v in col.items() if v}
-
-    rows_mid = [differential(T, u, d - i, bottom_index) for (T, u) in middle]
-    nullity = len(middle) - rank_of_rows(rows_mid, p, ncols=len(bottom_index))
-    rank_top = 0
-    if top:
-        rows_top = [differential(T, u, d - i - 1, middle_index)
-                    for (T, u) in top]
-        rank_top = rank_of_rows(rows_top, p, ncols=len(middle))
-    return nullity - rank_top
+def _graded_quotient(spec, field_=None, cap=DEFAULT_NNZ_CAP):
+    if field_ is None:
+        field_ = prime_fields(0, 1)[0]
+    if spec.family == "squarefree":
+        return _SquarefreeQuotient(spec, field_, cap)
+    return _GridQuotient(spec, field_, cap)
 
 
 # ---------------------------------------------------------------------------
-# square-free family: blocks graded by multidegree
+# the Koszul window
 
 
-def _sq_quotient_mono(mdeg, kappa):
-    """A monomial lies outside the square-free ideal iff it involves fewer
-    than kappa distinct variables."""
-    return sum(1 for e in mdeg if e) < kappa
+class _WedgeIndex:
+    """All r-subsets of the variables, indexed as
+    {outer weight: {inner weight: [subsets]}}.  An outer weight has entries
+    at most r, so the groups that fit under a block depend only on its outer
+    weight clipped at r; they are found once per clipped weight."""
+
+    def __init__(self, wedge_weight, n, nvars, r):
+        self.r = r
+        self.groups = {}
+        for T in itertools.combinations(range(nvars), r):
+            outer, inner = wedge_weight(n, T)
+            self.groups.setdefault(outer, {}).setdefault(inner, []).append(T)
+        self._fitting = {}
+
+    def fitting(self, outer):
+        """[(outer weight, {inner weight: [subsets]})] with outer weight
+        at most the given one."""
+        key = tuple(min(x, self.r) for x in outer)
+        if key not in self._fitting:
+            self._fitting[key] = [(tE, by_inner)
+                                  for tE, by_inner in self.groups.items()
+                                  if _nonneg(_sub(key, tE))]
+        return self._fitting[key]
 
 
-def _sq_betti_block(n, kappa, i, d, mdeg, p):
-    support = [v for v in range(n) if mdeg[v]]
+# the index depends only on how variables add to a weight, so one per
+# (wedge_weight, n, nvars, r) serves every ideal, prime and call
+_wedge_index = functools.cache(_WedgeIndex)
 
-    def span(r, b):
-        if b < 0 or r > len(support):
-            return []
-        items = []
-        for T in itertools.combinations(support, r):
-            rest = list(mdeg)
-            for v in T:
-                rest[v] -= 1
-            if _sq_quotient_mono(rest, kappa):
-                items.append((T, tuple(rest)))
-        return items
 
-    middle = span(i + 1, d - i - 1)
+def _wedges(quot, r):
+    return _wedge_index(quot.wedge_weight, quot.n, quot.nvars, r)
+
+
+def _span(quot, wedges, b, w):
+    """Basis [(wedge, quotient monomial)] of the weight-w block of
+    Lambda^r (x) (S/I)_b, for the `_WedgeIndex` of r-subsets, and the
+    reduction map of each wedge's quotient piece, for the wedges that have
+    one."""
+    items = []
+    reduce_of = {}
+    if b < 0:
+        return items, reduce_of
+    for tE, by_inner in wedges.fitting(w[0]):
+        mE = _sub(w[0], tE)
+        for tF, group in by_inner.items():
+            mF = _sub(w[1], tF)
+            if not _nonneg(mF):
+                continue
+            qbasis, reduce_map = quot.quotient(b, (mE, mF))
+            if qbasis:
+                items.extend((T, u) for T in group for u in qbasis)
+                reduce_of.update(dict.fromkeys(group, reduce_map))
+    return items, reduce_of
+
+
+def _betti_block(quot, wedges, i, d, w):
+    """Homology dimension of the weight-w block of the Koszul window
+    Lambda^(i+2) (x) (S/I)_(d-i-2) -> Lambda^(i+1) (x) (S/I)_(d-i-1)
+    -> Lambda^i (x) (S/I)_(d-i)."""
+    p = quot.p
+    middle, middle_reduce = _span(quot, wedges[i + 1], d - i - 1, w)
     if not middle:
         return 0
-    top = span(i + 2, d - i - 2)
-    bottom_index = {x: j for j, x in enumerate(span(i, d - i))}
+    top, _ = _span(quot, wedges[i + 2], d - i - 2, w)
+    bottom, bottom_reduce = _span(quot, wedges[i], d - i, w)
+    bottom_index = {x: j for j, x in enumerate(bottom)}
     middle_index = {x: j for j, x in enumerate(middle)}
 
-    def differential(T, rest, target_index):
+    def differential(T, u, reduce_of, target_index):
+        # u x_v lies in the quotient piece paired with T2 = T minus v, so it
+        # reduces by the map recorded for T2 (no map: that piece is zero)
         col = {}
         for a, v in enumerate(T):
             T2 = T[:a] + T[a + 1:]
-            m2 = list(rest)
-            m2[v] += 1
-            j = target_index.get((T2, tuple(m2)))
-            if j is not None:
-                col[j] = (col.get(j, 0) + (-1) ** a) % p
+            reduce_map = reduce_of.get(T2)
+            if reduce_map is None:
+                continue
+            for m2, c2 in reduce_map[mono_times_var(u, v)].items():
+                j = target_index[(T2, m2)]
+                col[j] = (col.get(j, 0) + (-1) ** a * c2) % p
         return {k: v for k, v in col.items() if v}
 
-    rows_mid = [differential(T, u, bottom_index) for (T, u) in middle]
-    nullity = len(middle) - rank_of_rows(rows_mid, p, ncols=len(bottom_index))
-    rank_top = 0
-    if top:
-        rows_top = [differential(T, u, middle_index) for (T, u) in top]
-        rank_top = rank_of_rows(rows_top, p, ncols=len(middle))
+    def rank(source, reduce_of, target_index):
+        rows = [differential(T, u, reduce_of, target_index)
+                for (T, u) in source]
+        check_cap(sum(map(len, rows)), quot.cap, "Koszul window nonzeros")
+        return rank_of_rows(rows, p, ncols=len(target_index))
+
+    nullity = len(middle) - rank(middle, bottom_reduce, bottom_index)
+    rank_top = rank(top, middle_reduce, middle_index) if top else 0
     return nullity - rank_top
 
 
@@ -352,51 +355,30 @@ def _sq_betti_block(n, kappa, i, d, mdeg, p):
 
 def hilbert_oracle(spec, t, field_=None, *, use_symmetry=True,
                    cap=DEFAULT_NNZ_CAP):
-    """dim I_t computed by brute force: rank of the multiplication matrix
-    {generator * monomial} for the matrix families, and an exhaustive
-    divisibility count for the square-free family.  Returns 0 for t below
-    the generator degree.  `use_symmetry` sums over the orbits of weight
-    pairs under row and column permutations and the transpose; False sums
-    every weight pair."""
+    """dim I_t computed by brute force, as the sum over weights of the
+    ideal's block ranks: the rank of the multiplication matrix
+    {generator * monomial} in each weight for the matrix families, and 0 or
+    1 per multidegree for the square-free family.  The square-free oracle
+    builds no degree-t basis, so `cap` does not bound it.  Returns 0 for t
+    below the generator degree.  `use_symmetry` sums over the orbits of
+    weights under permuting rows and columns (or variables) and, for the
+    matrix families, the transpose; False sums every weight."""
     if t < spec.kappa:
         return 0
-    if spec.family == "squarefree":
-        # sparse monomials list one pair per distinct variable
-        return sum(1 for m in monomials(spec.n, t, cap=cap)
-                   if len(m) >= spec.kappa)
-    if field_ is None:
-        field_ = default_field()
-    blocks = _GridBlocks(spec, field_, cap=cap)
-    total = 0
-    if use_symmetry:
-        for wE, wF, size in _grid_orbits(t, spec.n):
-            total += blocks.ideal_rank(t, (wE, wF)) * size
-    else:
-        for wE in compositions(t, spec.n):
-            for wF in compositions(t, spec.n):
-                total += blocks.ideal_rank(t, (wE, wF))
-    return total
+    quot = _graded_quotient(spec, field_, cap)
+    return sum(quot.ideal_rank(t, w) * size
+               for w, size in quot.weights(t, use_symmetry))
 
 
 def quotient_basis(spec, t, field_=None, cap=DEFAULT_NNZ_CAP):
     """Monomials spanning (S/I)_t (complement of the pivot monomials under
     the canonical order), together with the dimension."""
-    if field_ is None:
-        field_ = default_field()
-    if spec.family == "squarefree":
-        basis = [m for m in monomials(spec.n, t, cap=cap)
-                 if len(m) < spec.kappa]
-        return basis, len(basis)
-    blocks = _GridBlocks(spec, field_, cap=cap)
+    quot = _graded_quotient(spec, field_, cap)
     keep = set()
-    if t >= spec.kappa:
-        for wE in compositions(t, spec.n):
-            for wF in compositions(t, spec.n):
-                qbasis, _ = blocks.quotient(t, (wE, wF))
-                keep.update(qbasis)
-        basis = [m for m in monomials(spec.nvars, t, cap=cap) if m in keep]
-    else:
-        basis = monomials(spec.nvars, t, cap=cap)
+    for w, _ in quot.weights(t, use_symmetry=False):
+        qbasis, _ = quot.quotient(t, w)
+        keep.update(qbasis)
+    basis = [m for m in monomials(spec.nvars, t, cap=cap) if m in keep]
     return basis, len(basis)
 
 
@@ -408,63 +390,15 @@ def betti_oracle(spec, i, d, field_=None, *, use_symmetry=True,
     first.  `use_symmetry` computes one block per orbit of weights (per
     orbit of weight pairs under row and column permutations and the
     transpose for the matrix families) and scales it by the orbit size;
-    False computes every block."""
+    False computes every block.  `cap` bounds the nonzeros of each ideal
+    block and of each differential."""
     if i < 0:
         raise ValueError("step must be nonnegative")
-    if field_ is None:
-        field_ = default_field()
-    p = field_.modulus
+    quot = _graded_quotient(spec, field_, cap)
+    wedges = {r: _wedges(quot, r) for r in (i, i + 1, i + 2)}
     total = 0
-    if spec.family == "squarefree":
-        n, kappa = spec.n, spec.kappa
-        if use_symmetry:
-            for mdeg in dominant_weights(d, n):
-                h = _sq_betti_block(n, kappa, i, d, mdeg, p)
-                if h:
-                    total += h * orbit_size(mdeg)
-        else:
-            for mdeg in compositions(d, n):
-                total += _sq_betti_block(n, kappa, i, d, mdeg, p)
-        return total
-    blocks = _GridBlocks(spec, field_, cap=cap)
-    wedges = {r: _grid_wedges(spec.nvars, spec.n, r)
-              for r in (i, i + 1, i + 2)}
-    if use_symmetry:
-        for wE, wF, size in _grid_orbits(d, spec.n):
-            total += _grid_betti_block(blocks, wedges, i, d, (wE, wF)) * size
-    else:
-        for wE in compositions(d, spec.n):
-            for wF in compositions(d, spec.n):
-                total += _grid_betti_block(blocks, wedges, i, d, (wE, wF))
+    for w, size in quot.weights(d, use_symmetry):
+        h = _betti_block(quot, wedges, i, d, w)
+        if h:
+            total += h * size
     return total
-
-
-def hilbert_range(spec, degrees, seed=0, cap=DEFAULT_NNZ_CAP):
-    """Two-prime verified Hilbert values over a degree range."""
-    from .modular import agree_over_primes
-
-    start = time.perf_counter()
-    dims = {}
-    primes = []
-    for t in degrees:
-        value, primes = agree_over_primes(
-            lambda f: hilbert_oracle(spec, t, f, cap=cap), seed
-        )
-        dims[t] = value
-    return GradedDims(spec, dims, primes, time.perf_counter() - start)
-
-
-def betti_cells(spec, cells, seed=0, cap=DEFAULT_NNZ_CAP):
-    """Two-prime verified Betti numbers for an iterable of (step, degree)."""
-    from .modular import agree_over_primes
-
-    start = time.perf_counter()
-    entries = {}
-    primes = []
-    for (i, d) in cells:
-        value, primes = agree_over_primes(
-            lambda f: betti_oracle(spec, i, d, f, cap=cap), seed
-        )
-        entries[(i, d)] = value
-    return BettiTable(spec, entries, "oracle", primes,
-                      time.perf_counter() - start)

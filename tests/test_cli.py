@@ -87,6 +87,35 @@ def test_betti_squarefree_table(capsys, tmp_path):
     assert [r["degree"] for r in env["results"]] == [3, 4, 5]
 
 
+def test_hilbert_two_prime_envelope(capsys):
+    code, env = run_json(
+        capsys, "hilbert", "--family", "squarefree", "-n", "4", "-k", "2",
+        "--t", "2..4", "--mode", "oracle", "--prime-seed", "3",
+        "--cache-dir", "none",
+    )
+    assert code == EXIT_OK
+    assert env["request"]["params"]["family"] == "squarefree"
+    assert (env["request"]["params"]["n"],
+            env["request"]["params"]["kappa"]) == (4, 2)
+    assert {r["t"]: r["oracle"] for r in env["results"]} == \
+        {2: 6, 3: 16, 4: 31}
+    assert len(env["primes"]) == 2
+    assert env["timing_seconds"] >= 0
+
+
+def test_betti_two_prime_envelope(capsys):
+    code, env = run_json(
+        capsys, "betti", "--family", "squarefree", "-n", "5", "-k", "3",
+        "--steps", "0..2", "--mode", "oracle", "--prime-seed", "3",
+        "--cache-dir", "none",
+    )
+    assert code == EXIT_OK
+    assert {(r["step"], r["degree"]): r["oracle"]
+            for r in env["results"]} == {(0, 3): 10, (1, 4): 15, (2, 5): 6}
+    assert all("formula" not in r for r in env["results"])
+    assert len(env["primes"]) == 2
+
+
 def test_betti_explicit_degree(capsys, tmp_path):
     code, env = run_json(
         capsys, "betti", "--family", "subpermanents", "-n", "3", "-k", "2",
@@ -171,6 +200,17 @@ def test_resource_cap_exit_code(capsys, tmp_path):
         capsys, "hilbert", "--family", "subpermanents", "-n", "4", "-k", "2",
         "--t", "6", "--mode", "oracle", "--cap-nonzeros", "5",
         "--cache-dir", str(tmp_path),
+    )
+    assert code == EXIT_RESOURCE
+    assert env["error"]["type"] == "resource-cap"
+    assert env["results"] == []
+
+
+def test_window_cap_exit_code(capsys, tmp_path):
+    # the square-free window has no ideal block; its differentials are capped
+    code, env = run_json(
+        capsys, "betti", "--family", "squarefree", "-n", "5", "-k", "3",
+        "--steps", "2", "--cap-nonzeros", "1", "--cache-dir", str(tmp_path),
     )
     assert code == EXIT_RESOURCE
     assert env["error"]["type"] == "resource-cap"

@@ -4,9 +4,7 @@ import pytest
 
 from enumeration import count_monomials_with_support
 from permres.formulas import (
-    FormulaResult,
     det_linear_strand_dim,
-    evaluate,
     perm2_f_vector,
     perm2_hilbert_polynomial,
     perm2_ideal_hilbert,
@@ -190,13 +188,6 @@ def test_det_strand_vs_koszul_oracle(field):
             assert det_linear_strand_dim(n, r, 2) == betti_oracle(
                 spec, 1, r + 2, field
             )
-
-
-def test_evaluate_registry():
-    result = evaluate("perm2_ideal_hilbert", 3, 3)
-    assert result == FormulaResult("perm2_ideal_hilbert", (3, 3), 77)
-    with pytest.raises(KeyError):
-        evaluate("unknown_formula", 1)
 
 
 def test_input_validation():

@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 from enumeration import count_monomials_with_support, naive_betti
 from permres.ideals import FAMILIES, IdealSpec
 from permres.oracle import (
-    _grid_betti_block,
-    _grid_wedges,
-    _GridBlocks,
-    betti_cells,
+    _betti_block,
+    _graded_quotient,
+    _span,
+    _wedges,
     betti_oracle,
     compositions,
     dominant_weights,
     hilbert_oracle,
-    hilbert_range,
     orbit_size,
     quotient_basis,
 )
@@ -158,19 +157,18 @@ def test_grid_blocks_transpose_symmetry(field):
             (3, 3, ((0, 3), (1, 4))),
         ):
             spec = IdealSpec(family, n, kappa)
-            blocks = _GridBlocks(spec, field)
+            quot = _graded_quotient(spec, field)
             for i, d in cells:
-                wedges = {r: _grid_wedges(spec.nvars, n, r)
-                          for r in (i, i + 1, i + 2)}
+                wedges = {r: _wedges(quot, r) for r in (i, i + 1, i + 2)}
                 for wE, wF in itertools.combinations(
                         dominant_weights(d, n), 2):
-                    h = _grid_betti_block(blocks, wedges, i, d, (wE, wF))
-                    assert h == _grid_betti_block(
-                        blocks, wedges, i, d, (wF, wE)
+                    h = _betti_block(quot, wedges, i, d, (wE, wF))
+                    assert h == _betti_block(
+                        quot, wedges, i, d, (wF, wE)
                     ), (family, n, kappa, i, d, wE, wF)
                     nonzero += h != 0
-                    assert blocks.ideal_rank(d, (wE, wF)) == \
-                        blocks.ideal_rank(d, (wF, wE))
+                    assert quot.ideal_rank(d, (wE, wF)) == \
+                        quot.ideal_rank(d, (wF, wE))
         # the comparison is not vacuous: some off-diagonal block has homology
         assert nonzero, family
 
@@ -247,18 +245,38 @@ def test_betti_rejects_negative_step(field):
         betti_oracle(IdealSpec("squarefree", 3, 2), -1, 3, field)
 
 
-def test_hilbert_range_envelope():
-    spec = IdealSpec("squarefree", 4, 2)
-    result = hilbert_range(spec, range(2, 5), seed=3)
-    assert result.spec == spec
-    assert result.dims == {2: 6, 3: 16, 4: 31}
-    assert len(result.primes) == 2
-    assert result.seconds >= 0
+def test_betti_window_cap(field):
+    # the cap bounds each Koszul differential, not only the ideal blocks:
+    # the square-free window has no ideal block at all, and every ideal
+    # block of the sub-permanent window stays within 50 nonzeros while its
+    # largest differential holds 66
+    with pytest.raises(ResourceCapError):
+        betti_oracle(IdealSpec("squarefree", 5, 3), 2, 5, field, cap=1)
+    with pytest.raises(ResourceCapError):
+        betti_oracle(IdealSpec("subpermanents", 3, 2), 2, 4, field, cap=50)
+    assert betti_oracle(IdealSpec("subpermanents", 3, 2), 2, 4, field,
+                        cap=66) == 0
 
 
-def test_betti_cells_envelope():
-    spec = IdealSpec("squarefree", 5, 3)
-    table = betti_cells(spec, [(0, 3), (1, 4), (2, 5)], seed=3)
-    assert table.entries == {(0, 3): 10, (1, 4): 15, (2, 5): 6}
-    assert table.source == "oracle"
-    assert len(table.primes) == 2
+def test_chain_groups_match_quotient_dims(field):
+    # summed over the (weight, multiplicity) list of a degree, the window's
+    # blocks of Lambda^r (x) (S/I)_b make up the whole chain group, of
+    # dimension C(N, r) * dim (S/I)_b
+    for family in FAMILIES:
+        for n in (2, 3):
+            for kappa in range(1, n + 1):
+                spec = IdealSpec(family, n, kappa)
+                quot = _graded_quotient(spec, field)
+                for r in (1, 2, 3):
+                    wedges = _wedges(quot, r)
+                    for b in (kappa - 1, kappa, kappa + 1):
+                        _, qdim = quotient_basis(spec, b, field)
+                        want = comb(spec.nvars, r) * qdim
+                        for use_symmetry in (True, False):
+                            got = sum(
+                                len(_span(quot, wedges, b, w)[0]) * size
+                                for w, size in quot.weights(r + b,
+                                                            use_symmetry)
+                            )
+                            assert got == want, (family, n, kappa, r, b,
+                                                 use_symmetry)

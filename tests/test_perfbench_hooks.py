@@ -1,0 +1,29 @@
+"""The benchmark's tracer wraps named functions of the package from outside
+(`perfbench/tracer.py`) and refuses to run when one of them, or one of the
+module aliases it relies on, is gone.  Installing it here turns such a
+refactoring slip into a tier-1 failure instead of a failed benchmark run."""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+SCRIPT = """
+import sys
+sys.path[:0] = [{src!r}, {bench!r}]
+import permres.cli
+import tracer
+tracer.Tracer().install()
+print("installed")
+"""
+
+
+def test_tracer_hooks_install():
+    script = SCRIPT.format(src=os.path.join(ROOT, "src"),
+                           bench=os.path.join(ROOT, "perfbench"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert "MissingHookError" not in proc.stderr, proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "installed"
