@@ -3,7 +3,9 @@ oracle values, a persistent result cache, and verification suites.
 
 Exit codes: 0 success, 2 formula/oracle mismatch, failed verification,
 failed cache audit or three disagreeing primes, 3 resource cap exceeded,
-4 invalid parameters.
+4 invalid parameters.  A failure with exit 2 or 3 that leaves no results
+prints an `error` object (its type and message) in place of the results;
+with --csv that is one row with `error` and `message` columns.
 """
 
 import argparse
@@ -123,55 +125,49 @@ def _betti_formula(family, n, kappa, i, d):
     return None
 
 
-def cmd_hilbert(args, cache_):
+def _cells(args, cache_, kind, cells, formula, oracle):
+    """One row per cell: the cell's keys, the closed form
+    formula(family, n, kappa, *keys), the two-prime oracle value
+    oracle(spec, *keys, field, cap=cap), and whether the two match.  The
+    keys also name the cell in the cache."""
     spec = IdealSpec(_family(args.family), args.n, args.kappa)
     cap = None if args.expensive else args.cap_nonzeros
     results = []
     primes = []
-    for t in _parse_range(args.t):
-        row = {"t": t}
+    for cell in cells:
+        row = dict(cell)
         if args.mode in ("formula", "both"):
-            row["formula"] = _hilbert_formula(spec.family, spec.n, spec.kappa, t)
+            row["formula"] = formula(spec.family, spec.n, spec.kappa,
+                                     *cell.values())
         if args.mode in ("oracle", "both"):
-            value, primes = _verified(
+            row["oracle"], primes = _verified(
                 cache_, args.prime_seed,
-                lambda f, t=t: hilbert_oracle(spec, t, f, cap=cap),
-                kind="hilbert", family=spec.family, n=spec.n,
-                kappa=spec.kappa, t=t,
+                lambda f, cell=cell: oracle(spec, *cell.values(), f, cap=cap),
+                kind=kind, family=spec.family, n=spec.n, kappa=spec.kappa,
+                **cell,
             )
-            row["oracle"] = value
         if row.get("formula") is not None and "oracle" in row:
             row["match"] = row["formula"] == row["oracle"]
         results.append(row)
     return results, primes
+
+
+def cmd_hilbert(args, cache_):
+    cells = [{"t": t} for t in _parse_range(args.t)]
+    return _cells(args, cache_, "hilbert", cells, _hilbert_formula,
+                  hilbert_oracle)
 
 
 def cmd_betti(args, cache_):
-    spec = IdealSpec(_family(args.family), args.n, args.kappa)
-    cap = None if args.expensive else args.cap_nonzeros
     steps = _parse_range(args.steps)
+    if min(steps) < 0:
+        raise ValueError("step must be nonnegative")
     if args.deg is not None and len(steps) != 1:
         raise ValueError("--deg requires a single step")
-    results = []
-    primes = []
-    for i in steps:
-        d = args.deg if args.deg is not None else spec.kappa + i
-        row = {"step": i, "degree": d}
-        if args.mode in ("formula", "both"):
-            row["formula"] = _betti_formula(spec.family, spec.n, spec.kappa,
-                                            i, d)
-        if args.mode in ("oracle", "both"):
-            value, primes = _verified(
-                cache_, args.prime_seed,
-                lambda f, i=i, d=d: betti_oracle(spec, i, d, f, cap=cap),
-                kind="betti", family=spec.family, n=spec.n,
-                kappa=spec.kappa, step=i, degree=d,
-            )
-            row["oracle"] = value
-        if row.get("formula") is not None and "oracle" in row:
-            row["match"] = row["formula"] == row["oracle"]
-        results.append(row)
-    return results, primes
+    cells = [{"step": i,
+              "degree": args.kappa + i if args.deg is None else args.deg}
+             for i in steps]
+    return _cells(args, cache_, "betti", cells, _betti_formula, betti_oracle)
 
 
 def _term_row(term):
@@ -263,6 +259,9 @@ def _emit(envelope, fmt, stream):
         stream.write("\n")
         return
     rows = envelope["results"]
+    if "error" in envelope:
+        error = envelope["error"]
+        rows = [{"error": error["type"], "message": error["message"]}]
     fieldnames = []
     for row in rows:
         for key in row:

@@ -37,6 +37,7 @@ from math import factorial
 
 from .ideals import expand_generators
 from .modular import prime_fields, rank_of_rows, rref_of_rows
+from .partitions import partitions
 from .tensorspace import (
     DEFAULT_NNZ_CAP,
     check_cap,
@@ -63,19 +64,10 @@ def compositions(total, parts):
 
 
 def dominant_weights(total, parts):
-    """Weakly decreasing compositions: partitions padded to fixed length."""
-    def rec(rem, mx, slots):
-        if slots == 0:
-            if rem == 0:
-                yield ()
-            return
-        for first in range(min(rem, mx), -1, -1):
-            if first * slots < rem:
-                return
-            for rest in rec(rem - first, first, slots - 1):
-                yield (first,) + rest
-
-    yield from rec(total, total, parts)
+    """Weakly decreasing compositions: partitions padded to fixed length,
+    in lexicographically decreasing order."""
+    for lam in partitions(total, max_length=parts):
+        yield lam + (0,) * (parts - len(lam))
 
 
 def orbit_size(w):

@@ -64,17 +64,15 @@ class SimplicialComplex:
         s = frozenset(subset)
         return not any(nf <= s for nf in self.nonfaces)
 
-    def count_faces(self, max_dim=None, cap=DEFAULT_FACE_CAP):
-        """Face counts [f_-1, f_0, ..., f_max_dim]; f_-1 = 1 for the empty
-        face.  Exhaustive DFS, pruned at the first violated non-face."""
-        if max_dim is None:
-            max_dim = self.n_vertices - 1
-        counts = [0] * (max_dim + 2)
-        counts[0] = 1
+    def _walk(self, max_dim, cap, visit):
+        """Call visit(face) on every nonempty face of dimension <= max_dim:
+        a DFS over vertices in increasing order, pruned at the first
+        violated non-face, that raises ResourceCapError after `cap` visited
+        nodes."""
         budget = [cap]
 
-        def extend(face, last, dim):
-            if dim == max_dim:
+        def extend(face, last):
+            if len(face) > max_dim:
                 return
             for v in range(last + 1, self.n_vertices):
                 budget[0] -= 1
@@ -85,10 +83,22 @@ class SimplicialComplex:
                 grown = face | {v}
                 if any(nf <= grown for nf in self._by_max.get(v, ())):
                     continue
-                counts[dim + 2] += 1
-                extend(grown, v, dim + 1)
+                visit(grown)
+                extend(grown, v)
 
-        extend(frozenset(), -1, -1)
+        extend(frozenset(), -1)
+
+    def count_faces(self, max_dim=None, cap=DEFAULT_FACE_CAP):
+        """Face counts [f_-1, f_0, ..., f_max_dim]; f_-1 = 1 for the empty
+        face.  Exhaustive DFS, pruned at the first violated non-face."""
+        if max_dim is None:
+            max_dim = self.n_vertices - 1
+        counts = [1] + [0] * (max_dim + 1)
+
+        def tally(face):
+            counts[len(face)] += 1
+
+        self._walk(max_dim, cap, tally)
         return counts
 
     def f_vector(self, cap=DEFAULT_FACE_CAP):
@@ -106,20 +116,7 @@ class SimplicialComplex:
     def facets(self, cap=DEFAULT_FACE_CAP):
         """All maximal faces, by exhaustive enumeration."""
         faces = [frozenset()]
-        budget = [cap]
-
-        def extend(face, last):
-            for v in range(last + 1, self.n_vertices):
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise ResourceCapError("facet enumeration exceeded cap")
-                grown = face | {v}
-                if any(nf <= grown for nf in self._by_max.get(v, ())):
-                    continue
-                faces.append(grown)
-                extend(grown, v)
-
-        extend(frozenset(), -1)
+        self._walk(self.n_vertices - 1, cap, faces.append)
         return [f for f in faces if not any(f < g for g in faces)]
 
     def __repr__(self):
@@ -197,7 +194,3 @@ def alexander_dual_ideal(complex_, cap=DEFAULT_FACE_CAP):
     )
     return [g for g in gens if g]
 
-
-def count_faces(complex_, max_dim, cap=DEFAULT_FACE_CAP):
-    """Module-level face counter: [f_-1, f_0, ..., f_max_dim]."""
-    return complex_.count_faces(max_dim=max_dim, cap=cap)

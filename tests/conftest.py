@@ -1,5 +1,8 @@
+import functools
+
 import pytest
 
+from permres import verify
 from permres.modular import prime_fields
 
 
@@ -11,3 +14,21 @@ def field():
 @pytest.fixture(scope="session")
 def field_pair():
     return prime_fields(12345, 2)
+
+
+@functools.cache
+def _verify_rows(suite):
+    return {row["check"]: row for row in verify.run_suite(suite)}
+
+
+@pytest.fixture(scope="session")
+def verify_ok():
+    """verify_ok(suite, check) asserts that the row `check` of
+    `verify.run_suite(suite)` (seed 0, not expensive) is ok; each suite runs
+    once per session."""
+
+    def assert_ok(suite, check):
+        row = _verify_rows(suite)[check]
+        assert row["ok"], row["detail"]
+
+    return assert_ok

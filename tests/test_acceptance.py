@@ -1,15 +1,14 @@
 """Acceptance criteria.  Each test prints one pass/fail line with its
 runtime; every expected value is exact (no tolerances anywhere)."""
 
-import itertools
 import time
 from math import comb, factorial
 
 import pytest
 
 from enumeration import count_monomials_with_support
+from permres import verify
 from permres.formulas import (
-    perm2_f_vector,
     perm2_hilbert_polynomial,
     perm2_ideal_hilbert,
     perm_linear_strand_dim,
@@ -17,28 +16,12 @@ from permres.formulas import (
     sqfree_ideal_hilbert,
     sqfree_quotient_hilbert,
 )
-from permres.ideals import (
-    DETERMINANT,
-    PERMANENT,
-    IdealSpec,
-    SubmatrixSelector,
-    det_hw_syzygy,
-    monomial_syzygy,
-    submatrix_polynomial,
-    tensor_laplace,
-)
-from permres.lascoux import (
-    det_ideal_hilbert,
-    lascoux_terms,
-    resolution_length,
-    resolution_via_bott,
-    step_dimension,
-)
+from permres.ideals import IdealSpec
+from permres.lascoux import resolution_length
 from permres.modular import prime_fields
-from permres.oracle import betti_oracle, hilbert_oracle
+from permres.oracle import betti_oracle
 from permres.partitions import hook_specht_dim, induced_dim
-from permres.simplicial import perm2_complex, skeleton_complex
-from permres.tensorspace import koszul_transpose, monomial_count
+from permres.tensorspace import monomial_count
 
 FIELD = prime_fields(0, 1)[0]
 
@@ -65,6 +48,14 @@ class _criterion:
                 f"criterion {self.number} exceeded its {self.budget}s budget"
             )
         return False
+
+
+def _assert_suite_ok(suite):
+    """Runs a `permres verify` suite (seed 0, not expensive); every row must
+    be ok."""
+    rows = verify.run_suite(suite)
+    failed = [row for row in rows if not row["ok"]]
+    assert rows and not failed, failed
 
 
 def test_criterion_1_squarefree_betti_table():
@@ -121,12 +112,8 @@ def test_criterion_3_downgrade_full_table_n4():
 def test_criterion_4_perm2_hilbert_function():
     with _criterion(4, 300, "kappa=2 Hilbert formula equals the rank oracle "
                             "for n in {2,3,4}, t in {2..6}"):
+        _assert_suite_ok("formulas")
         for n in (2, 3, 4):
-            spec = IdealSpec("subpermanents", n, 2)
-            for t in range(2, 7):
-                assert perm2_ideal_hilbert(n, t) == hilbert_oracle(
-                    spec, t, FIELD
-                ), (n, t)
             for t in range(n + 1, n + 5):
                 assert perm2_ideal_hilbert(n, t) == monomial_count(
                     n * n, t
@@ -149,83 +136,18 @@ def test_criterion_6_lascoux_resolution():
     with _criterion(6, 120, "determinantal resolution: direct enumeration "
                             "equals the Bott engine; length, symmetry, and "
                             "the alternating-sum identity hold"):
-        for n in range(2, 6):
-            for r in range(1, min(4, n)):
-                for j in range(1, min(6, (n - r) ** 2) + 1):
-                    direct = sorted(
-                        (t.lam_e, t.lam_f, t.dim)
-                        for t in lascoux_terms(n, r, j)
-                    )
-                    engine = sorted(
-                        (t.lam_e, t.lam_f, t.dim)
-                        for t in resolution_via_bott(n, r, j)
-                    )
-                    assert direct == engine, (n, r, j)
+        _assert_suite_ok("lascoux")
         for n in (2, 3, 4):
             for r in (1, 2):
-                if r >= n:
-                    continue
-                top = resolution_length(n, r)
-                assert top == (n - r) ** 2
-                assert lascoux_terms(n, r, top)
-                assert not lascoux_terms(n, r, top + 1)
-                for j in range(0, top + 1):
-                    assert step_dimension(n, r, j) == step_dimension(
-                        n, r, top - j
-                    )
-        spec = IdealSpec("minors", 3, 2)
-        for t in range(2, 7):
-            assert det_ideal_hilbert(3, 2, t) == hilbert_oracle(spec, t, FIELD)
+                if r < n:
+                    assert resolution_length(n, r) == (n - r) ** 2
 
 
 def test_criterion_7_syzygy_vectors():
     with _criterion(7, 120, "all explicit syzygy vectors lie in the kernel "
                             "of the differential; Laplace expansions "
                             "multiply back to their minor/permanent"):
-        for n in (2, 3, 4):
-            for r in (1, 2):
-                for p in range(0, 4):
-                    for q in range(0, 4 - p):
-                        if p + q < 1 or r + q + 1 > n or r + p + 1 > n:
-                            continue
-                        assert koszul_transpose(
-                            det_hw_syzygy(n, r, p, q)
-                        ).is_zero(), (n, r, p, q)
-        for n in (2, 3, 4):
-            for kappa in range(1, min(3, n - 1) + 1):
-                for rows in itertools.combinations(range(1, n + 1), kappa + 1):
-                    for cols in itertools.combinations(range(1, n + 1),
-                                                       kappa + 1):
-                        sel = SubmatrixSelector(rows, cols)
-                        perm = submatrix_polynomial(n, rows, cols, PERMANENT)
-                        det = submatrix_polynomial(n, rows, cols, DETERMINANT)
-                        expansions = [
-                            tensor_laplace(n, sel, "row", i, PERMANENT)
-                            for i in rows
-                        ] + [
-                            tensor_laplace(n, sel, "column", j, PERMANENT)
-                            for j in cols
-                        ]
-                        for e in expansions:
-                            assert koszul_transpose(e) == perm
-                        for e in expansions[1:]:
-                            assert koszul_transpose(
-                                expansions[0] - e
-                            ).is_zero()
-                        for i in rows:
-                            e = tensor_laplace(n, sel, "row", i, DETERMINANT)
-                            assert koszul_transpose(e) == det
-        for n in (4, 5):
-            for kappa in (2, 3):
-                for j in (2, 3):
-                    if kappa - 1 + j > n:
-                        continue
-                    for base in itertools.combinations(range(n), kappa - 1):
-                        rest = [v for v in range(n) if v not in base]
-                        for tail in itertools.combinations(rest, j):
-                            assert koszul_transpose(
-                                monomial_syzygy(base, tail)
-                            ).is_zero()
+        _assert_suite_ok("syzygies")
 
 
 def test_criterion_8_simplicial():
@@ -233,21 +155,7 @@ def test_criterion_8_simplicial():
                             "match the f-vector formula for n in {2..5}; "
                             "skeleton h-vectors carry the square-free "
                             "Betti numerators for n <= 6"):
-        for n in (2, 3, 4, 5):
-            counted = perm2_complex(n).count_faces(max_dim=n)[1:]
-            formula = perm2_f_vector(n)
-            assert counted == formula + [0] * (len(counted) - len(formula))
-        for n in range(2, 7):
-            for kappa in range(1, n + 1):
-                poly = list(skeleton_complex(n, kappa - 2).h_vector())
-                for _ in range(n - kappa + 1):
-                    poly = [a - b for a, b in zip(poly + [0], [0] + poly)]
-                width = max(len(poly), n + 2)
-                want = [0] * width
-                want[0] = 1
-                for i in range(0, n - kappa + 1):
-                    want[kappa + i] = -((-1) ** i) * sqfree_betti(n, kappa, i)
-                assert poly + [0] * (width - len(poly)) == want
+        _assert_suite_ok("simplicial")
 
 
 def test_criterion_9_induced_module_decomposition():

@@ -174,14 +174,39 @@ def test_sr_subcommand(capsys, tmp_path):
     assert len(row["dual_generators"]) == 6
 
 
-def test_verify_suite(capsys, tmp_path):
-    code, env = run_json(
-        capsys, "verify", "--suite", "simplicial", "--cache-dir",
-        str(tmp_path),
-    )
-    assert code == EXIT_OK
-    assert env["results"][-1]["check"] == "summary"
-    assert all(r["ok"] for r in env["results"])
+# every check of each suite, in order; dropping one from permres.verify
+# fails test_verify_suite
+VERIFY_CHECKS = {
+    "formulas": [
+        "perm2-hilbert-n2", "perm2-hilbert-n3", "perm2-hilbert-n4",
+        "squarefree-hilbert-n2", "squarefree-hilbert-n3",
+        "squarefree-hilbert-n4", "squarefree-hilbert-n5",
+        "squarefree-hilbert-n6", "squarefree-betti-grid",
+        "perm-linear-strand-vs-koszul", "det-strand-step2-vs-koszul",
+    ],
+    "syzygies": [
+        "det-hw-kernel", "perm-laplace-differences", "det-laplace-products",
+        "monomial-syzygy-kernel",
+    ],
+    "lascoux": [
+        "direct-vs-bott", "length-and-symmetry", "euler-vs-rank-oracle",
+        "bott-strategy-independence", "regular-weight-bridge",
+    ],
+    "simplicial": [
+        "perm2-face-counts", "h-vector-betti-numerator", "alexander-duality",
+        "stanley-reisner-hilbert",
+    ],
+}
+
+
+def test_verify_suite(capsys):
+    every = [check for checks in VERIFY_CHECKS.values() for check in checks]
+    for suite, checks in (*VERIFY_CHECKS.items(), ("all", every)):
+        code, env = run_json(capsys, "verify", "--suite", suite,
+                             "--cache-dir", "none")
+        assert code == EXIT_OK, suite
+        assert [r["check"] for r in env["results"]] == checks + ["summary"]
+        assert all(r["ok"] for r in env["results"]), suite
 
 
 def test_invalid_parameters_exit_code(capsys, tmp_path):
@@ -195,6 +220,16 @@ def test_invalid_parameters_exit_code(capsys, tmp_path):
     assert code == EXIT_INVALID
 
 
+def test_negative_step_rejected(capsys):
+    # rejected before the formula path, which has no oracle to refuse it
+    for family in ("subpermanents", "minors", "squarefree"):
+        code = main(["betti", "--family", family, "-n", "3", "-k", "2",
+                     "--steps=-1", "--deg", "4", "--mode", "formula",
+                     "--cache-dir", "none"])
+        assert code == EXIT_INVALID, family
+    assert capsys.readouterr().out == ""
+
+
 def test_resource_cap_exit_code(capsys, tmp_path):
     code, env = run_json(
         capsys, "hilbert", "--family", "subpermanents", "-n", "4", "-k", "2",
@@ -204,6 +239,17 @@ def test_resource_cap_exit_code(capsys, tmp_path):
     assert code == EXIT_RESOURCE
     assert env["error"]["type"] == "resource-cap"
     assert env["results"] == []
+
+
+def test_csv_error_row(capsys):
+    code, out = run_cli(
+        capsys, "hilbert", "--family", "subpermanents", "-n", "4", "-k", "2",
+        "--t", "6", "--cap-nonzeros", "1", "--csv", "--cache-dir", "none",
+    )
+    assert code == EXIT_RESOURCE
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["error"] == "resource-cap"
+    assert "cap 1" in row["message"]
 
 
 def test_window_cap_exit_code(capsys, tmp_path):

@@ -55,7 +55,7 @@ def test_perm2_hilbert_polynomial_small():
         assert perm2_hilbert_polynomial(2, t) == (t + 1) ** 2
 
 
-def test_perm2_hilbert_values(field):
+def test_perm2_hilbert_values(verify_ok):
     # frozen values computed by the rank oracle
     assert perm2_ideal_hilbert(3, 2) == 9
     assert perm2_ideal_hilbert(3, 3) == 77
@@ -63,9 +63,7 @@ def test_perm2_hilbert_values(field):
     assert perm2_quotient_hilbert(3, 3) == 88
     assert perm2_quotient_hilbert(5, 0) == 1
     for n in (2, 3, 4):
-        spec = IdealSpec("subpermanents", n, 2)
-        for t in range(2, 7):
-            assert perm2_ideal_hilbert(n, t) == hilbert_oracle(spec, t, field)
+        verify_ok("formulas", f"perm2-hilbert-n{n}")
 
 
 def test_perm2_complement_identity():
@@ -151,14 +149,8 @@ def test_sqfree_betti_values(field):
         assert sqfree_betti(n, n, 1) == 0
 
 
-def test_sqfree_betti_grid_vs_oracle(field):
-    for n in range(2, 7):
-        for kappa in range(1, n + 1):
-            spec = IdealSpec("squarefree", n, kappa)
-            for i in range(0, n - kappa + 2):
-                assert sqfree_betti(n, kappa, i) == betti_oracle(
-                    spec, i, kappa + i, field
-                ), (n, kappa, i)
+def test_sqfree_betti_grid_vs_oracle(verify_ok):
+    verify_ok("formulas", "squarefree-betti-grid")
 
 
 def test_det_linear_strand_examples():
@@ -179,15 +171,8 @@ def test_det_linear_strand_ratio_formula():
             assert det_linear_strand_dim(n, r, 2) == num // (n - kappa)
 
 
-def test_det_strand_vs_koszul_oracle(field):
-    for n in (3, 4):
-        for r in (1, 2):
-            if r + 1 >= n:
-                continue
-            spec = IdealSpec("minors", n, r + 1)
-            assert det_linear_strand_dim(n, r, 2) == betti_oracle(
-                spec, 1, r + 2, field
-            )
+def test_det_strand_vs_koszul_oracle(verify_ok):
+    verify_ok("formulas", "det-strand-step2-vs-koszul")
 
 
 def test_input_validation():

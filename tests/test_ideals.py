@@ -1,4 +1,3 @@
-import itertools
 from math import comb, factorial
 
 import pytest
@@ -161,13 +160,8 @@ def test_tensor_laplace_repeated_row_is_syzygy():
     assert koszul_transpose(elem).is_zero()
 
 
-def test_tensor_laplace_permanent_difference_in_kernel():
-    for n, rows, cols in ((3, (1, 2), (2, 3)), (4, (1, 3, 4), (1, 2, 4))):
-        sel = SubmatrixSelector(rows, cols)
-        first = tensor_laplace(n, sel, "row", rows[0], PERMANENT)
-        for other in rows[1:]:
-            diff = first - tensor_laplace(n, sel, "row", other, PERMANENT)
-            assert koszul_transpose(diff).is_zero()
+def test_tensor_laplace_permanent_difference_in_kernel(verify_ok):
+    verify_ok("syzygies", "perm-laplace-differences")
 
 
 def test_tensor_laplace_index_validation():
@@ -227,13 +221,8 @@ def test_monomial_syzygy_pair_form():
     assert koszul_transpose(elem).is_zero()
 
 
-def test_monomial_syzygy_kernel_grid():
-    for n, kappa, j in ((5, 2, 2), (5, 2, 3), (5, 3, 3), (4, 2, 2)):
-        for base in itertools.combinations(range(n), kappa - 1):
-            rest = [v for v in range(n) if v not in base]
-            for tail in itertools.combinations(rest, j):
-                elem = monomial_syzygy(base, tail)
-                assert koszul_transpose(elem).is_zero()
+def test_monomial_syzygy_kernel_grid(verify_ok):
+    verify_ok("syzygies", "monomial-syzygy-kernel")
 
 
 def test_monomial_syzygy_rejects_overlap():

@@ -1,9 +1,8 @@
-import random
 from math import comb
 
 import pytest
 
-from permres.formulas import det_linear_strand_dim, perm_linear_strand_dim
+from permres.formulas import det_linear_strand_dim
 from permres.ideals import IdealSpec
 from permres.lascoux import (
     BottOutcome,
@@ -11,13 +10,10 @@ from permres.lascoux import (
     det_ideal_hilbert,
     lascoux_terms,
     perm_ambient_linear_strand,
-    random_strategy_agrees,
     regular_weight_dim,
     resolution_length,
     resolution_via_bott,
-    step_dimension,
 )
-from permres.oracle import hilbert_oracle
 from permres.partitions import specht_dim
 from permres.tensorspace import monomial_count
 
@@ -73,23 +69,12 @@ def test_bott_reduce_wall_detected_later():
     assert outcome.wall
 
 
-def test_bott_strategy_independence():
-    rng = random.Random(0)
-    for _ in range(1000):
-        length = rng.randint(2, 7)
-        seq = tuple(rng.randint(0, 6) for _ in range(length))
-        assert random_strategy_agrees(seq, seed=rng.randrange(10**6),
-                                      trials=3)
+def test_bott_strategy_independence(verify_ok):
+    verify_ok("lascoux", "bott-strategy-independence")
 
 
-def test_engines_agree_on_grid():
-    for n in range(2, 6):
-        for r in range(1, min(4, n)):
-            top = (n - r) ** 2
-            for j in range(1, min(6, top) + 1):
-                assert _pairs(lascoux_terms(n, r, j)) == _pairs(
-                    resolution_via_bott(n, r, j)
-                ), (n, r, j)
+def test_engines_agree_on_grid(verify_ok):
+    verify_ok("lascoux", "direct-vs-bott")
 
 
 def test_multiplicity_free():
@@ -112,14 +97,8 @@ def test_resolution_length_and_socle():
             assert resolution_via_bott(n, r, top + 1) == []
 
 
-def test_gorenstein_dimension_symmetry():
-    for n in (2, 3, 4):
-        for r in (1, 2):
-            if r >= n:
-                continue
-            top = resolution_length(n, r)
-            for j in range(0, top + 1):
-                assert step_dimension(n, r, j) == step_dimension(n, r, top - j)
+def test_gorenstein_dimension_symmetry(verify_ok):
+    verify_ok("lascoux", "length-and-symmetry")
 
 
 def test_full_betti_table_matches_resolution(field):
@@ -135,10 +114,8 @@ def test_full_betti_table_matches_resolution(field):
             assert betti_oracle(spec, i, d, field) == want, (i, d)
 
 
-def test_euler_characteristic_reproduces_rank_oracle(field):
-    spec = IdealSpec("minors", 3, 2)
-    for t in range(2, 7):
-        assert det_ideal_hilbert(3, 2, t) == hilbert_oracle(spec, t, field)
+def test_euler_characteristic_reproduces_rank_oracle(verify_ok):
+    verify_ok("lascoux", "euler-vs-rank-oracle")
     assert det_ideal_hilbert(3, 2, 1) == 0
 
 
@@ -171,18 +148,10 @@ def test_perm_ambient_strand_drops_long_hooks():
         assert len(t.lam_e) <= 2 and len(t.lam_f) <= 2
 
 
-def test_regular_weight_bridge():
+def test_regular_weight_bridge(verify_ok):
     # regular-weight subspaces of the ambient strand assemble the
     # sub-permanent linear strand dimension
-    for n in range(2, 7):
-        for kappa in range(1, min(4, n) + 1):
-            for j in range(1, 5):
-                total = sum(
-                    regular_weight_dim(t.lam_e, t.lam_f, n)
-                    for t in perm_ambient_linear_strand(n, kappa, j)
-                )
-                assert total == perm_linear_strand_dim(n, kappa, j), \
-                    (n, kappa, j)
+    verify_ok("lascoux", "regular-weight-bridge")
 
 
 def test_regular_weight_dim_values():
