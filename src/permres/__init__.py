@@ -44,8 +44,6 @@ from .simplicial import (
 from .tensorspace import (
     ResourceCapError,
     TensorElement,
-    graded_basis,
-    kernel_dim,
     koszul_transpose,
     multiply_map_rank,
 )
@@ -68,10 +66,8 @@ __all__ = [
     "det_ideal_hilbert",
     "det_linear_strand_dim",
     "expand_generators",
-    "graded_basis",
     "hilbert_oracle",
     "induced_dim",
-    "kernel_dim",
     "koszul_transpose",
     "lascoux_terms",
     "monomial_syzygy",

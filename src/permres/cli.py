@@ -3,9 +3,10 @@ oracle values, a persistent result cache, and verification suites.
 
 Exit codes: 0 success, 2 formula/oracle mismatch, failed verification,
 failed cache audit or three disagreeing primes, 3 resource cap exceeded,
-4 invalid parameters.  A failure with exit 2 or 3 that leaves no results
-prints an `error` object (its type and message) in place of the results;
-with --csv that is one row with `error` and `message` columns.
+4 invalid parameters, among them a negative step or degree, which is
+rejected before any cell runs.  A failure with exit 2 or 3 that leaves no
+results prints an `error` object (its type and message) in place of the
+results; with --csv that is one row with `error` and `message` columns.
 """
 
 import argparse
@@ -153,7 +154,10 @@ def _cells(args, cache_, kind, cells, formula, oracle):
 
 
 def cmd_hilbert(args, cache_):
-    cells = [{"t": t} for t in _parse_range(args.t)]
+    degrees = _parse_range(args.t)
+    if min(degrees) < 0:
+        raise ValueError("degree must be nonnegative")
+    cells = [{"t": t} for t in degrees]
     return _cells(args, cache_, "hilbert", cells, _hilbert_formula,
                   hilbert_oracle)
 
@@ -164,6 +168,8 @@ def cmd_betti(args, cache_):
         raise ValueError("step must be nonnegative")
     if args.deg is not None and len(steps) != 1:
         raise ValueError("--deg requires a single step")
+    if args.deg is not None and args.deg < 0:
+        raise ValueError("degree must be nonnegative")
     cells = [{"step": i,
               "degree": args.kappa + i if args.deg is None else args.deg}
              for i in steps]

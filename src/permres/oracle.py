@@ -12,8 +12,12 @@ weight) for the two-sided torus on the n x n grid of the matrix families,
 and the multidegree, the case of the diagonal torus of the n variables, for
 the square-free family.  A family enters only through its graded quotient:
 how variables add to a weight, the weights of a degree with their orbit
-multiplicities, the ideal's dimension in a block, and the block's quotient
-basis with a reduction map.
+multiplicities, and the block's quotient basis with a reduction map.  The
+ideal's dimension in a block is read off that piece: the block's monomials
+minus its quotient basis.  For the matrix families the ideal's block is
+spanned by the products g * (M / t) over the block's monomials M and the
+generators g whose first term t divides M, and one fully reduced echelon
+form of those rows gives the piece.
 
 Permuting rows and columns (or variables) preserves the ideals, so block
 dimensions only depend on the sorted weight; the transpose x_ij -> x_ji
@@ -41,6 +45,7 @@ from .partitions import partitions
 from .tensorspace import (
     DEFAULT_NNZ_CAP,
     check_cap,
+    mono_mul,
     mono_times_var,
     mono_weight,
     monomials,
@@ -94,9 +99,9 @@ class _GradedQuotient:
     """S/I for one ideal over one prime field, split into blocks by degree b
     and weight w, a pair (outer, inner) of tuples.  A family says how
     variables add to a weight (`wedge_weight`), the weights of a degree with
-    their orbit multiplicities (`weights`), the ideal's dimension in a block
-    (`ideal_rank`), and the block's quotient basis with a reduction map
-    (`_piece`, memoised by `quotient`)."""
+    their orbit multiplicities (`weights`), and the block's quotient basis
+    with a reduction map (`_piece`, memoised by `quotient`); the ideal's
+    dimension in a block is read off that piece."""
 
     def __init__(self, spec, field_, cap):
         self.n = spec.n
@@ -115,6 +120,12 @@ class _GradedQuotient:
             self._quotient[key] = self._piece(b, w)
         return self._quotient[key]
 
+    def ideal_rank(self, b, w):
+        """dim of the ideal's block: the block's monomials that reduce to
+        something other than themselves."""
+        qbasis, reduce_map = self.quotient(b, w)
+        return len(reduce_map) - len(qbasis)
+
 
 class _GridQuotient(_GradedQuotient):
     """A matrix-family ideal, graded by (row weight, column weight)."""
@@ -123,20 +134,22 @@ class _GridQuotient(_GradedQuotient):
     def wedge_weight(n, T):
         """(row weight, column weight) of grid variables: v adds one to row
         v // n and to column v % n."""
-        wE = [0] * n
-        wF = [0] * n
-        for v in T:
-            wE[v // n] += 1
-            wF[v % n] += 1
-        return tuple(wE), tuple(wF)
+        return mono_weight(tuple((v, 1) for v in T), n)
 
     def __init__(self, spec, field_, cap):
         super().__init__(spec, field_, cap)
-        self.gens_by_weight = {}
+        # every generator is found from the variables of its first term,
+        # which must be kappa distinct variables owned by no other generator
+        self.terms_by_lead = {}
         for g in expand_generators(spec):
-            mono = next(iter(g.terms))[0]
-            w = mono_weight(mono, self.n)
-            self.gens_by_weight.setdefault(w, []).append(g)
+            lead = next(iter(g.terms))[0]
+            key = tuple(v for v, _ in lead)
+            if (len(key) != self.kappa or any(e != 1 for _, e in lead)
+                    or key in self.terms_by_lead):
+                raise RuntimeError(
+                    f"generator first term {lead} is not {self.kappa} "
+                    "distinct variables of its own")
+            self.terms_by_lead[key] = g.terms
 
     def weights(self, total, use_symmetry):
         """One pair per orbit under permuting rows, permuting columns and
@@ -153,38 +166,33 @@ class _GridQuotient(_GradedQuotient):
             size = orbit_size(wE) * orbit_size(wF)
             yield (wE, wF), size if wE == wF else 2 * size
 
-    def _spanning_rows(self, w, index):
+    def _spanning_rows(self, monos, index):
+        """The products g * (M / t) for each block monomial M and generator
+        g whose first term t divides M.  Since M -> M / t maps those M
+        one-to-one onto g's multipliers of the block's weight, these are the
+        products of each generator with each of its multipliers."""
         rows = []
         nnz = 0
-        for (gwE, gwF), gens in self.gens_by_weight.items():
-            mw = (_sub(w[0], gwE), _sub(w[1], gwF))
-            if not (_nonneg(mw[0]) and _nonneg(mw[1])):
-                continue
-            for mult in monomials_with_weight(self.n, mw[0], mw[1]):
-                for g in gens:
-                    row = {}
-                    for (m, _), c in g.terms.items():
-                        mm = dict(m)
-                        for v, e in mult:
-                            mm[v] = mm.get(v, 0) + e
-                        row[index[tuple(sorted(mm.items()))]] = c
-                    nnz += len(row)
-                    rows.append(row)
+        for M in monos:
+            for lead in itertools.combinations([v for v, _ in M], self.kappa):
+                terms = self.terms_by_lead.get(lead)
+                if terms is None:
+                    continue
+                cofactor = tuple((v, e - (v in lead)) for v, e in M
+                                 if e > (v in lead))
+                row = {index[mono_mul(m, cofactor)]: c
+                       for (m, _), c in terms.items()}
+                nnz += len(row)
+                rows.append(row)
         check_cap(nnz, self.cap, "ideal block nonzeros")
         return rows
-
-    def ideal_rank(self, b, w):
-        monos = monomials_with_weight(self.n, w[0], w[1])
-        index = {m: i for i, m in enumerate(monos)}
-        return rank_of_rows(self._spanning_rows(w, index), self.p,
-                            ncols=len(monos))
 
     def _piece(self, b, w):
         """The quotient basis is the complement of the pivot monomials of
         the fully reduced echelon form of the ideal's block."""
         monos = monomials_with_weight(self.n, w[0], w[1])
         index = {m: i for i, m in enumerate(monos)}
-        pivots = rref_of_rows(self._spanning_rows(w, index), self.p)
+        pivots = rref_of_rows(self._spanning_rows(monos, index), self.p)
         qbasis = [m for m in monos if index[m] not in pivots]
         reduce_map = {}
         for m in monos:
@@ -224,9 +232,6 @@ class _SquarefreeQuotient(_GradedQuotient):
         else:
             for w in compositions(total, self.n):
                 yield (w, ()), 1
-
-    def ideal_rank(self, b, w):
-        return int(len(w[0]) - w[0].count(0) >= self.kappa)
 
     def _piece(self, b, w):
         mono = tuple((v, e) for v, e in enumerate(w[0]) if e)
@@ -348,13 +353,15 @@ def _betti_block(quot, wedges, i, d, w):
 def hilbert_oracle(spec, t, field_=None, *, use_symmetry=True,
                    cap=DEFAULT_NNZ_CAP):
     """dim I_t computed by brute force, as the sum over weights of the
-    ideal's block ranks: the rank of the multiplication matrix
-    {generator * monomial} in each weight for the matrix families, and 0 or
-    1 per multidegree for the square-free family.  The square-free oracle
-    builds no degree-t basis, so `cap` does not bound it.  Returns 0 for t
-    below the generator degree.  `use_symmetry` sums over the orbits of
-    weights under permuting rows and columns (or variables) and, for the
-    matrix families, the transpose; False sums every weight."""
+    ideal's block dimensions, each read off the block's quotient piece: the
+    block's monomials outside the quotient basis, which for the matrix
+    families are the pivots of the echelon form of {generator * monomial}
+    in that weight, and 0 or 1 per multidegree for the square-free family.
+    The square-free oracle builds no degree-t basis, so `cap` does not bound
+    it.  Returns 0 for t below the generator degree.  `use_symmetry` sums
+    over the orbits of weights under permuting rows and columns (or
+    variables) and, for the matrix families, the transpose; False sums
+    every weight."""
     if t < spec.kappa:
         return 0
     quot = _graded_quotient(spec, field_, cap)

@@ -109,11 +109,6 @@ def monomials(nvars, d, cap=DEFAULT_BASIS_CAP):
     return out
 
 
-def graded_basis(n, d, cap=DEFAULT_BASIS_CAP):
-    """Basis of the degree-d piece in the n^2 grid variables."""
-    return monomials(n * n, d, cap=cap)
-
-
 def monomials_with_weight(n, w_rows, w_cols):
     """Grid monomials with prescribed row and column weights (nonnegative
     integer matrices with given margins), in a deterministic order."""
@@ -260,14 +255,6 @@ def koszul_transpose(x):
     return out
 
 
-def polynomial_coordinates(x, index):
-    """Coordinates of a rank-0 element in a monomial basis given as an index
-    map {monomial: column}."""
-    if x.rank != 0:
-        raise ValueError("expected exterior rank 0")
-    return {index[m]: c for (m, _), c in x.terms.items()}
-
-
 def multiply_map_rank(generators, nvars, from_degree, to_degree, field,
                       cap=DEFAULT_NNZ_CAP):
     """Rank over the field of the multiplication map span{g_i} (x)
@@ -293,12 +280,3 @@ def multiply_map_rank(generators, nvars, from_degree, to_degree, field,
                 cols[mono_mul(m, mult)]: c for (m, _), c in g.terms.items()
             })
     return rank_of_rows(rows, field.modulus, ncols=len(cols))
-
-
-def kernel_dim(columns, field, domain_dim=None, cap=DEFAULT_NNZ_CAP):
-    """Nullity of a sparse linear map given by its columns
-    (list of {codomain index: coeff}): domain dimension minus rank."""
-    if domain_dim is None:
-        domain_dim = len(columns)
-    check_cap(sum(len(c) for c in columns), cap, "kernel matrix nonzeros")
-    return domain_dim - rank_of_rows(columns, field.modulus)

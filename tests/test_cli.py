@@ -230,6 +230,18 @@ def test_negative_step_rejected(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_negative_degree_rejected(capsys):
+    # rejected before any cell runs, whichever family has a closed form
+    for family in ("subpermanents", "minors", "squarefree"):
+        code = main(["hilbert", "--family", family, "-n", "3", "-k", "2",
+                     "--t=-2..0", "--cache-dir", "none"])
+        assert code == EXIT_INVALID, family
+        code = main(["betti", "--family", family, "-n", "3", "-k", "2",
+                     "--steps", "0", "--deg=-1", "--cache-dir", "none"])
+        assert code == EXIT_INVALID, family
+    assert capsys.readouterr().out == ""
+
+
 def test_resource_cap_exit_code(capsys, tmp_path):
     code, env = run_json(
         capsys, "hilbert", "--family", "subpermanents", "-n", "4", "-k", "2",

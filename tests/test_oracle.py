@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enumeration import count_monomials_with_support, naive_betti
-from permres.ideals import FAMILIES, IdealSpec
+from permres import oracle
+from permres.ideals import FAMILIES, IdealSpec, expand_generators
 from permres.oracle import (
     _betti_block,
     _graded_quotient,
@@ -19,7 +20,12 @@ from permres.oracle import (
     orbit_size,
     quotient_basis,
 )
-from permres.tensorspace import ResourceCapError, monomial_count
+from permres.tensorspace import (
+    ResourceCapError,
+    TensorElement,
+    monomial_count,
+    multiply_map_rank,
+)
 
 
 def test_weight_helpers():
@@ -60,6 +66,35 @@ def test_hilbert_symmetry_paths_agree(field):
             spec = IdealSpec(family, n, kappa)
             assert hilbert_oracle(spec, t, field, use_symmetry=True) == \
                 hilbert_oracle(spec, t, field, use_symmetry=False)
+
+
+def test_hilbert_matches_multiply_map_rank(field):
+    # the weight-blocked oracle against the rank of the whole multiplication
+    # map span{g} (x) S^(t-kappa) -> S^t, built without weights or symmetry
+    for family in ("subpermanents", "minors"):
+        for n in (2, 3):
+            for kappa in range(1, n + 1):
+                spec = IdealSpec(family, n, kappa)
+                gens = expand_generators(spec)
+                for t in range(kappa, kappa + 3):
+                    want = multiply_map_rank(gens, spec.nvars, kappa, t,
+                                             field)
+                    for use_symmetry in (True, False):
+                        assert hilbert_oracle(
+                            spec, t, field, use_symmetry=use_symmetry
+                        ) == want, (family, n, kappa, t, use_symmetry)
+
+
+def test_grid_quotient_checks_generator_first_terms(field, monkeypatch):
+    # the ideal's rows are found through each generator's first term, so it
+    # must be kappa distinct variables that no other generator starts with
+    spec = IdealSpec("subpermanents", 3, 2)
+    gens = expand_generators(spec)
+    square = TensorElement(2, 0, [(((0, 2),), (), 1)])
+    for bad in (gens + gens[:1], gens[1:] + [square]):
+        monkeypatch.setattr(oracle, "expand_generators", lambda _: bad)
+        with pytest.raises(RuntimeError):
+            _graded_quotient(spec, field)
 
 
 def test_hilbert_two_primes_agree(field_pair):

@@ -8,11 +8,9 @@ from permres.ideals import IdealSpec, expand_generators
 from permres.tensorspace import (
     ResourceCapError,
     TensorElement,
-    graded_basis,
     grid_index,
     grid_position,
     is_regular_weight,
-    kernel_dim,
     koszul_transpose,
     mono_degree,
     mono_mul,
@@ -23,7 +21,6 @@ from permres.tensorspace import (
     monomials_with_weight,
     multiply_map_rank,
     normalize_wedge,
-    polynomial_coordinates,
 )
 
 
@@ -41,9 +38,9 @@ def test_grid_index_round_trip():
 
 
 def test_graded_basis_counts():
-    assert len(graded_basis(2, 1)) == 4
-    assert len(graded_basis(3, 3)) == comb(11, 3) == 165
-    assert graded_basis(1, 5) == [((0, 5),)]
+    assert len(monomials(2 * 2, 1)) == 4
+    assert len(monomials(3 * 3, 3)) == comb(11, 3) == 165
+    assert monomials(1 * 1, 5) == [((0, 5),)]
     assert monomials(3, 0) == [()]
 
 
@@ -61,13 +58,13 @@ def test_graded_basis_deterministic_lex_order():
 
 def test_graded_basis_resource_cap():
     with pytest.raises(ResourceCapError):
-        graded_basis(10, 12, cap=10**6)
+        monomials(10 * 10, 12, cap=10**6)
 
 
 def test_monomials_with_weight_partitions_degree():
     n, d = 3, 4
     by_weight = {}
-    for m in graded_basis(n, d):
+    for m in monomials(n * n, d):
         by_weight.setdefault(mono_weight(m, n), []).append(m)
     for w, monos in by_weight.items():
         assert sorted(monomials_with_weight(n, w[0], w[1])) == sorted(monos)
@@ -210,24 +207,3 @@ def test_multiply_map_rank_resource_cap(field):
     with pytest.raises(ResourceCapError):
         multiply_map_rank(gens, 9, 2, 6, field, cap=10)
 
-
-def test_kernel_dim_examples(field):
-    # zero map: nullity is the domain dimension
-    assert kernel_dim([{} for _ in range(5)], field) == 5
-    # identity-like full-rank square map
-    assert kernel_dim([{i: 1} for i in range(4)], field) == 0
-
-
-def test_kernel_dim_linear_syzygies_perm2(field):
-    # columns g * x_v for the nine 2x2 sub-permanents of a 3x3 matrix
-    gens = expand_generators(IdealSpec("subpermanents", 3, 2))
-    index = {m: i for i, m in enumerate(monomials(9, 3))}
-    columns = []
-    for g in gens:
-        for v in range(9):
-            shifted = TensorElement(
-                3, 0, [(mono_times_var(m, v), (), c)
-                       for (m, _), c in g.terms.items()]
-            )
-            columns.append(polynomial_coordinates(shifted, index))
-    assert kernel_dim(columns, field) == 4
