@@ -4,9 +4,11 @@ oracle values, a persistent result cache, and verification suites.
 Exit codes: 0 success, 2 formula/oracle mismatch, failed verification,
 failed cache audit or three disagreeing primes, 3 resource cap exceeded,
 4 invalid parameters, among them a negative step or degree, which is
-rejected before any cell runs.  A failure with exit 2 or 3 that leaves no
-results prints an `error` object (its type and message) in place of the
-results; with --csv that is one row with `error` and `message` columns.
+rejected before any cell runs, and a cache directory that cannot be opened
+(a message on stderr, nothing on stdout).  A failure with exit 2 or 3 that
+leaves no results prints an `error` object (its type and message) next to
+the empty results; with --csv that is one row with `error` and `message`
+columns.
 """
 
 import argparse
@@ -20,7 +22,7 @@ import time
 from . import __version__, formulas, lascoux, verify
 from .cache import CacheCorruptionError, ResultCache
 from .ideals import FAMILIES, IdealSpec
-from .modular import PrimeDisagreementError
+from .modular import PrimeDisagreementError, agree_over_primes
 from .oracle import betti_oracle, hilbert_oracle
 from .simplicial import alexander_dual_ideal, perm2_complex, skeleton_complex
 from .tensorspace import DEFAULT_NNZ_CAP, ResourceCapError
@@ -79,19 +81,6 @@ def _open_cache(args):
                        rng=random.Random(f"audit-{args.prime_seed}"))
 
 
-def _verified(cache_, seed, compute_for_field, **cell):
-    """Two-prime agreement where each per-prime value goes through the
-    cache; disagreement falls back to a third prime."""
-    from .modular import agree_over_primes
-
-    def cached_compute(field):
-        return cache_.get_or_compute(
-            lambda: compute_for_field(field), prime=field.modulus, **cell
-        )
-
-    return agree_over_primes(cached_compute, seed)
-
-
 def _family(name):
     aliases = {"perm": "subpermanents", "det": "minors", "sqfree": "squarefree"}
     name = aliases.get(name, name)
@@ -128,9 +117,14 @@ def _betti_formula(family, n, kappa, i, d):
 
 def _cells(args, cache_, kind, cells, formula, oracle):
     """One row per cell: the cell's keys, the closed form
-    formula(family, n, kappa, *keys), the two-prime oracle value
-    oracle(spec, *keys, field, cap=cap), and whether the two match.  The
-    keys also name the cell in the cache."""
+    formula(family, n, kappa, *keys), the oracle value
+    oracle(spec, *keys, field, cap=cap) agreed over two primes with each
+    prime's value cached under the cell's keys, and whether the two match.
+    A negative key is rejected before any cell runs."""
+    for cell in cells:
+        for key, value in cell.items():
+            if value < 0:
+                raise ValueError(f"{key} must be nonnegative, got {value}")
     spec = IdealSpec(_family(args.family), args.n, args.kappa)
     cap = None if args.expensive else args.cap_nonzeros
     results = []
@@ -141,12 +135,12 @@ def _cells(args, cache_, kind, cells, formula, oracle):
             row["formula"] = formula(spec.family, spec.n, spec.kappa,
                                      *cell.values())
         if args.mode in ("oracle", "both"):
-            row["oracle"], primes = _verified(
-                cache_, args.prime_seed,
-                lambda f, cell=cell: oracle(spec, *cell.values(), f, cap=cap),
-                kind=kind, family=spec.family, n=spec.n, kappa=spec.kappa,
-                **cell,
-            )
+            row["oracle"], primes = agree_over_primes(
+                lambda f: cache_.get_or_compute(
+                    lambda: oracle(spec, *cell.values(), f, cap=cap),
+                    prime=f.modulus, kind=kind, family=spec.family, n=spec.n,
+                    kappa=spec.kappa, **cell),
+                args.prime_seed)
         if row.get("formula") is not None and "oracle" in row:
             row["match"] = row["formula"] == row["oracle"]
         results.append(row)
@@ -154,22 +148,15 @@ def _cells(args, cache_, kind, cells, formula, oracle):
 
 
 def cmd_hilbert(args, cache_):
-    degrees = _parse_range(args.t)
-    if min(degrees) < 0:
-        raise ValueError("degree must be nonnegative")
-    cells = [{"t": t} for t in degrees]
+    cells = [{"t": t} for t in _parse_range(args.t)]
     return _cells(args, cache_, "hilbert", cells, _hilbert_formula,
                   hilbert_oracle)
 
 
 def cmd_betti(args, cache_):
     steps = _parse_range(args.steps)
-    if min(steps) < 0:
-        raise ValueError("step must be nonnegative")
     if args.deg is not None and len(steps) != 1:
         raise ValueError("--deg requires a single step")
-    if args.deg is not None and args.deg < 0:
-        raise ValueError("degree must be nonnegative")
     cells = [{"step": i,
               "degree": args.kappa + i if args.deg is None else args.deg}
              for i in steps]
@@ -190,20 +177,16 @@ def _term_row(term):
 def cmd_lascoux(args, cache_):
     if not (1 <= args.r < args.n):
         raise ValueError("need 1 <= r < n")
-    results = []
-    direct = lascoux.lascoux_terms(args.n, args.r, args.j)
-    if args.engine in ("direct", "both"):
-        results.extend(_term_row(t) for t in direct)
-    if args.engine == "bott":
-        results.extend(_term_row(t)
-                       for t in lascoux.resolution_via_bott(args.n, args.r,
-                                                            args.j))
+    # each engine runs only when asked for; `both` lists the direct rows
+    engines = {"direct": lascoux.lascoux_terms,
+               "bott": lascoux.resolution_via_bott}
+    asked = ("direct", "bott") if args.engine == "both" else (args.engine,)
+    runs = [engines[name](args.n, args.r, args.j) for name in asked]
+    results = [_term_row(t) for t in runs[0]]
     if args.engine == "both":
-        via_bott = lascoux.resolution_via_bott(args.n, args.r, args.j)
-        agree = sorted((t.lam_e, t.lam_f, t.dim) for t in direct) == sorted(
-            (t.lam_e, t.lam_f, t.dim) for t in via_bott
-        )
-        results.append({"check": "engines-agree", "match": agree})
+        direct, via_bott = (sorted((t.lam_e, t.lam_f, t.dim) for t in terms)
+                            for terms in runs)
+        results.append({"check": "engines-agree", "match": direct == via_bott})
     return results, []
 
 
@@ -299,6 +282,13 @@ def build_parser():
     shared.add_argument("--cap-nonzeros", type=int, default=DEFAULT_NNZ_CAP,
                         help="per-matrix nonzero cap for oracle cells")
 
+    ideal = argparse.ArgumentParser(add_help=False)
+    ideal.add_argument("--family", required=True)
+    ideal.add_argument("-n", type=int, required=True)
+    ideal.add_argument("-k", "--kappa", type=int, required=True)
+    ideal.add_argument("--mode", choices=("formula", "oracle", "both"),
+                       default="both")
+
     parser = _Parser(prog="permres",
                      description="Hilbert functions, Betti numbers, and "
                                  "resolution data with brute-force "
@@ -307,26 +297,16 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("hilbert", parents=[shared],
+    p = sub.add_parser("hilbert", parents=[shared, ideal],
                        help="Hilbert function of an ideal family")
-    p.add_argument("--family", required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-k", "--kappa", type=int, required=True)
     p.add_argument("--t", required=True, help="degree or range, e.g. 2..6")
-    p.add_argument("--mode", choices=("formula", "oracle", "both"),
-                   default="both")
     p.set_defaults(handler=cmd_hilbert)
 
-    p = sub.add_parser("betti", parents=[shared],
+    p = sub.add_parser("betti", parents=[shared, ideal],
                        help="graded Betti numbers (step 0 = generators)")
-    p.add_argument("--family", required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-k", "--kappa", type=int, required=True)
     p.add_argument("--steps", required=True, help="step or range, e.g. 0..2")
     p.add_argument("--deg", type=int, default=None,
                    help="explicit degree (default: linear strand kappa+step)")
-    p.add_argument("--mode", choices=("formula", "oracle", "both"),
-                   default="both")
     p.set_defaults(handler=cmd_betti)
 
     p = sub.add_parser("lascoux", parents=[shared],
@@ -365,6 +345,11 @@ def build_parser():
     return parser
 
 
+def _invalid(message):
+    print(f"permres: invalid parameters: {message}", file=sys.stderr)
+    return EXIT_INVALID
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -373,7 +358,10 @@ def main(argv=None):
         return exc.code if exc.code is not None else EXIT_INVALID
 
     started = time.perf_counter()
-    cache_ = _open_cache(args)
+    try:
+        cache_ = _open_cache(args)
+    except OSError as exc:
+        return _invalid(f"cannot open the cache directory: {exc}")
     request = {
         "command": args.command,
         "params": {
@@ -387,25 +375,18 @@ def main(argv=None):
         "prime_seed": args.prime_seed,
         "expensive": args.expensive,
     }
+    error = None
     try:
         results, primes = args.handler(args, cache_)
+        code = _exit_code(results)
     except tuple(_ERRORS) as exc:
         # the nearest mapped class, so subclasses of a mapped error map too
         kind, code = next(_ERRORS[cls] for cls in type(exc).__mro__
                           if cls in _ERRORS)
-        envelope = {
-            "request": request,
-            "error": {"type": kind, "message": str(exc)},
-            "results": [],
-            "primes": [],
-            "timing_seconds": round(time.perf_counter() - started, 6),
-            "version": __version__,
-        }
-        _emit(envelope, args.format, sys.stdout)
-        return code
+        error = {"type": kind, "message": str(exc)}
+        results, primes = [], []
     except (ValueError, KeyError) as exc:
-        print(f"permres: invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _invalid(exc)
 
     envelope = {
         "request": request,
@@ -414,8 +395,10 @@ def main(argv=None):
         "timing_seconds": round(time.perf_counter() - started, 6),
         "version": __version__,
     }
+    if error is not None:
+        envelope["error"] = error
     _emit(envelope, args.format, sys.stdout)
-    return _exit_code(results)
+    return code
 
 
 if __name__ == "__main__":

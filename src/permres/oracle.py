@@ -40,7 +40,7 @@ import operator
 from math import factorial
 
 from .ideals import expand_generators
-from .modular import prime_fields, rank_of_rows, rref_of_rows
+from .modular import rank_of_rows, rref_of_rows
 from .partitions import partitions
 from .tensorspace import (
     DEFAULT_NNZ_CAP,
@@ -240,9 +240,7 @@ class _SquarefreeQuotient(_GradedQuotient):
         return [], {mono: {}}
 
 
-def _graded_quotient(spec, field_=None, cap=DEFAULT_NNZ_CAP):
-    if field_ is None:
-        field_ = prime_fields(0, 1)[0]
+def _graded_quotient(spec, field_, cap=DEFAULT_NNZ_CAP):
     if spec.family == "squarefree":
         return _SquarefreeQuotient(spec, field_, cap)
     return _GridQuotient(spec, field_, cap)
@@ -350,7 +348,7 @@ def _betti_block(quot, wedges, i, d, w):
 # public oracles
 
 
-def hilbert_oracle(spec, t, field_=None, *, use_symmetry=True,
+def hilbert_oracle(spec, t, field_, *, use_symmetry=True,
                    cap=DEFAULT_NNZ_CAP):
     """dim I_t computed by brute force, as the sum over weights of the
     ideal's block dimensions, each read off the block's quotient piece: the
@@ -369,7 +367,7 @@ def hilbert_oracle(spec, t, field_=None, *, use_symmetry=True,
                for w, size in quot.weights(t, use_symmetry))
 
 
-def quotient_basis(spec, t, field_=None, cap=DEFAULT_NNZ_CAP):
+def quotient_basis(spec, t, field_, cap=DEFAULT_NNZ_CAP):
     """Monomials spanning (S/I)_t (complement of the pivot monomials under
     the canonical order), together with the dimension."""
     quot = _graded_quotient(spec, field_, cap)
@@ -381,7 +379,7 @@ def quotient_basis(spec, t, field_=None, cap=DEFAULT_NNZ_CAP):
     return basis, len(basis)
 
 
-def betti_oracle(spec, i, d, field_=None, *, use_symmetry=True,
+def betti_oracle(spec, i, d, field_, *, use_symmetry=True,
                  cap=DEFAULT_NNZ_CAP):
     """Graded Betti number b_{i,d} of the ideal, as the Koszul homology of
     Lambda^(i+2) (x) (S/I)_(d-i-2) -> Lambda^(i+1) (x) (S/I)_(d-i-1)

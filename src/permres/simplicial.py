@@ -35,40 +35,16 @@ class SimplicialComplex:
         for nf in self.nonfaces:
             self._by_max.setdefault(max(nf), []).append(nf)
 
-    @classmethod
-    def from_facets(cls, n_vertices, facets, cap=DEFAULT_FACE_CAP):
-        """Co-present a complex given by its maximal faces: a subset is
-        forbidden iff it lies in no facet, and the minimal such are found by
-        growing candidate sizes."""
-        facets = [frozenset(f) for f in facets]
-        nonfaces = []
-        budget = cap
-
-        def is_face(s):
-            return any(s <= f for f in facets)
-
-        for size in range(1, n_vertices + 1):
-            for cand in itertools.combinations(range(n_vertices), size):
-                budget -= 1
-                if budget < 0:
-                    raise ResourceCapError("facet conversion exceeded cap")
-                s = frozenset(cand)
-                if is_face(s):
-                    continue
-                if any(nf <= s for nf in nonfaces):
-                    continue
-                nonfaces.append(s)
-        return cls(n_vertices, nonfaces)
-
     def is_face(self, subset):
         s = frozenset(subset)
         return not any(nf <= s for nf in self.nonfaces)
 
-    def _walk(self, max_dim, cap, visit):
+    def _walk(self, max_dim, visit):
         """Call visit(face) on every nonempty face of dimension <= max_dim:
         a DFS over vertices in increasing order, pruned at the first
-        violated non-face, that raises ResourceCapError after `cap` visited
-        nodes."""
+        violated non-face, that raises ResourceCapError after
+        DEFAULT_FACE_CAP visited nodes."""
+        cap = DEFAULT_FACE_CAP
         budget = [cap]
 
         def extend(face, last):
@@ -88,7 +64,7 @@ class SimplicialComplex:
 
         extend(frozenset(), -1)
 
-    def count_faces(self, max_dim=None, cap=DEFAULT_FACE_CAP):
+    def count_faces(self, max_dim=None):
         """Face counts [f_-1, f_0, ..., f_max_dim]; f_-1 = 1 for the empty
         face.  Exhaustive DFS, pruned at the first violated non-face."""
         if max_dim is None:
@@ -98,25 +74,25 @@ class SimplicialComplex:
         def tally(face):
             counts[len(face)] += 1
 
-        self._walk(max_dim, cap, tally)
+        self._walk(max_dim, tally)
         return counts
 
-    def f_vector(self, cap=DEFAULT_FACE_CAP):
+    def f_vector(self):
         """(1, f_0, ..., f_dim) with trailing zero levels trimmed."""
-        counts = self.count_faces(cap=cap)
+        counts = self.count_faces()
         while len(counts) > 1 and counts[-1] == 0:
             counts.pop()
         return tuple(counts)
 
-    def h_vector(self, cap=DEFAULT_FACE_CAP):
+    def h_vector(self):
         """Binomial transform of the f-vector: the coefficients of
         f(t-1) where f(t) = sum_i f_{i-1} t^(d-i), d = dim + 1."""
-        return h_from_f(self.f_vector(cap=cap))
+        return h_from_f(self.f_vector())
 
-    def facets(self, cap=DEFAULT_FACE_CAP):
+    def facets(self):
         """All maximal faces, by exhaustive enumeration."""
         faces = [frozenset()]
-        self._walk(self.n_vertices - 1, cap, faces.append)
+        self._walk(self.n_vertices - 1, faces.append)
         return [f for f in faces if not any(f < g for g in faces)]
 
     def __repr__(self):
@@ -181,7 +157,7 @@ def perm2_complex(n):
     return SimplicialComplex(n * n, nonfaces)
 
 
-def alexander_dual_ideal(complex_, cap=DEFAULT_FACE_CAP):
+def alexander_dual_ideal(complex_):
     """Minimal generators of the Stanley-Reisner ideal of the Alexander dual
     {tau : complement(tau) not in complex}: the complements of the facets.
 
@@ -190,7 +166,7 @@ def alexander_dual_ideal(complex_, cap=DEFAULT_FACE_CAP):
     """
     everything = frozenset(range(complex_.n_vertices))
     gens = sorted(
-        tuple(sorted(everything - facet)) for facet in complex_.facets(cap=cap)
+        tuple(sorted(everything - facet)) for facet in complex_.facets()
     )
     return [g for g in gens if g]
 

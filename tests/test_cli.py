@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from permres import cli
+from permres import __version__, cli, lascoux
 from permres.cache import HEADER_PREFIX, ResultCache
 from permres.cli import (
     EXIT_INVALID,
@@ -149,6 +149,19 @@ def test_lascoux_both_engines(capsys, tmp_path):
     assert rows[0]["dim"] == 1 and rows[0]["lam_e"] == [2, 2, 2]
 
 
+def test_lascoux_bott_engine_runs_only_bott(capsys, monkeypatch):
+    via_bott = [cli._term_row(t) for t in lascoux.resolution_via_bott(3, 1, 4)]
+
+    def refuse(*args):
+        raise AssertionError("--engine bott ran the direct engine")
+
+    monkeypatch.setattr(lascoux, "lascoux_terms", refuse)
+    code, env = run_json(capsys, "lascoux", "-n", "3", "-r", "1", "-j", "4",
+                         "--engine", "bott", "--cache-dir", "none")
+    assert code == EXIT_OK
+    assert env["results"] == via_bott
+
+
 def test_bott_subcommand(capsys, tmp_path):
     code, env = run_json(capsys, "bott", "--seq", "0,2,1",
                          "--cache-dir", str(tmp_path))
@@ -251,6 +264,10 @@ def test_resource_cap_exit_code(capsys, tmp_path):
     assert code == EXIT_RESOURCE
     assert env["error"]["type"] == "resource-cap"
     assert env["results"] == []
+    assert env["primes"] == []
+    # the success envelope's keys plus `error`
+    assert set(env) == {"request", "results", "primes", "timing_seconds",
+                        "version", "error"}
 
 
 def test_csv_error_row(capsys):
@@ -343,6 +360,21 @@ def test_cache_dir_env_override(capsys, tmp_path, monkeypatch):
     assert env["request"]["cache_dir"].endswith("envcache")
 
 
+@pytest.mark.parametrize("argv", [
+    ("bott", "--seq", "0,1"),
+    ("hilbert", "--family", "squarefree", "-n", "3", "-k", "2", "--t", "2"),
+])
+def test_unusable_cache_dir_exit_code(capsys, tmp_path, argv):
+    # a regular file where a directory should be: no traceback, no envelope
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main([*argv, "--cache-dir", str(blocker / "sub")])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert captured.out == ""
+    assert "cache directory" in captured.err
+
+
 @pytest.mark.expensive
 def test_expensive_betti_cell(capsys, tmp_path):
     code, env = run_json(
@@ -362,7 +394,11 @@ def test_cache_reuse_and_audit(capsys, tmp_path):
     code2, env2 = run_json(capsys, *argv)
     assert code1 == code2 == EXIT_OK
     assert env1["results"] == env2["results"]
-    # cache files were created
-    import os
-    files = [f for _, _, fs in os.walk(str(tmp_path)) for f in fs]
-    assert files
+    # one file per (prime, cell), named by the documented key fields
+    files = {f for _, _, fs in os.walk(str(tmp_path)) for f in fs}
+    key = ResultCache(None, __version__).key
+    assert files == {
+        key(prime=p, kind="hilbert", family="squarefree", n=4, kappa=2, t=t)
+        + ".txt"
+        for p in env1["primes"] for t in range(2, 6)
+    }

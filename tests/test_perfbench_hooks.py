@@ -10,12 +10,17 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SCRIPT = """
-import sys
+import contextlib, io, sys
 sys.path[:0] = [{src!r}, {bench!r}]
 import permres.cli
 import tracer
-tracer.Tracer().install()
+t = tracer.Tracer()
+t.install()
 print("installed")
+# `main` must dispatch to the wrapped handler, not to a copy bound earlier
+with contextlib.redirect_stdout(io.StringIO()):
+    code = permres.cli.main(["bott", "--seq", "0,1", "--cache-dir", "none"])
+print(code, t.calls["cli"], t.calls["cli.handler"])
 """
 
 
@@ -26,4 +31,4 @@ def test_tracer_hooks_install():
                           text=True, timeout=120)
     assert "MissingHookError" not in proc.stderr, proc.stderr
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "installed"
+    assert proc.stdout.splitlines() == ["installed", "0 1 1"]

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from enumeration import brute_force_faces
+from permres import simplicial
 from permres.simplicial import (
     SimplicialComplex,
     alexander_dual_ideal,
@@ -59,16 +60,10 @@ def test_count_faces_matches_brute_force():
         )
 
 
-def test_count_faces_resource_cap():
+def test_count_faces_resource_cap(monkeypatch):
+    monkeypatch.setattr(simplicial, "DEFAULT_FACE_CAP", 1000)
     with pytest.raises(ResourceCapError):
-        SimplicialComplex(30).count_faces(cap=1000)
-
-
-def test_from_facets_round_trip():
-    nonfaces = [{0, 1}, {2, 3}]
-    direct = SimplicialComplex(4, nonfaces)
-    rebuilt = SimplicialComplex.from_facets(4, direct.facets())
-    assert rebuilt.nonfaces == direct.nonfaces
+        SimplicialComplex(30).count_faces()
 
 
 def test_perm2_complex_small_cases():
