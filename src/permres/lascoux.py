@@ -52,22 +52,25 @@ def lascoux_terms(n, r, j):
         (s)^(r+s) + (alpha, 0^r, beta'),   (s)^(r+s) + (beta, 0^r, alpha')
 
     contributes; pairs with a partition longer than n drop out (dimension 0).
-    The result is multiplicity free.  Beyond step (n-r)^2 every pair is too
-    long to fit in C^n, so the enumeration is empty there without an explicit
-    guard.
+    The partitions have lengths s + r + beta_1 and s + r + alpha_1, so only
+    strands s <= n - r and parts at most n - r - s are enumerated: the pairs
+    that fit in n rows, in the same order.  The result is multiplicity free.
+    Beyond step (n-r)^2 no such pair has weight j, so the enumeration is
+    empty there, and stays short, without an explicit guard.
     """
     if not (1 <= r < n):
         raise ValueError("need 1 <= r < n")
     terms = []
     if j < 1:
         return terms
-    for s in range(1, isqrt(j) + 1):
+    for s in range(1, min(isqrt(j), n - r) + 1):
         rest = j - s * s
         for wa in range(rest + 1):
-            for alpha in partitions(wa, max_length=s):
+            for alpha in partitions(wa, max_length=s, max_part=n - r - s):
                 pad_a = alpha + (0,) * (s - len(alpha))
                 conj_a = conjugate(alpha)
-                for beta in partitions(rest - wa, max_length=s):
+                for beta in partitions(rest - wa, max_length=s,
+                                       max_part=n - r - s):
                     pad_b = beta + (0,) * (s - len(beta))
                     lam_e = _strip(
                         tuple(s + x for x in pad_a) + (s,) * r + conjugate(beta)

@@ -17,7 +17,9 @@ ideal's dimension in a block is read off that piece: the block's monomials
 minus its quotient basis.  For the matrix families the ideal's block is
 spanned by the products g * (M / t) over the block's monomials M and the
 generators g whose first term t divides M, and one fully reduced echelon
-form of those rows gives the piece.
+form of those rows gives the piece.  The block's monomials and those integer
+rows do not depend on the prime, so they are built once per ideal and shared
+by every prime, cell and step; each prime reduces them itself.
 
 Permuting rows and columns (or variables) preserves the ideals, so block
 dimensions only depend on the sorted weight; the transpose x_ij -> x_ji
@@ -101,7 +103,9 @@ class _GradedQuotient:
     variables add to a weight (`wedge_weight`), the weights of a degree with
     their orbit multiplicities (`weights`), and the block's quotient basis
     with a reduction map (`_piece`, memoised by `quotient`); the ideal's
-    dimension in a block is read off that piece."""
+    dimension in a block is read off that piece.  What a piece needs before
+    reduction mod p (the matrix families' bases and integer rows) is built
+    once per ideal, not per prime."""
 
     def __init__(self, spec, field_, cap):
         self.n = spec.n
@@ -127,17 +131,14 @@ class _GradedQuotient:
         return len(reduce_map) - len(qbasis)
 
 
-class _GridQuotient(_GradedQuotient):
-    """A matrix-family ideal, graded by (row weight, column weight)."""
+class _GridBlocks:
+    """The prime-independent part of a matrix-family ideal: for each weight
+    pair w, the block's monomial basis and the integer spanning rows of the
+    ideal's block, built once and read by every prime, cell and step."""
 
-    @staticmethod
-    def wedge_weight(n, T):
-        """(row weight, column weight) of grid variables: v adds one to row
-        v // n and to column v % n."""
-        return mono_weight(tuple((v, 1) for v in T), n)
-
-    def __init__(self, spec, field_, cap):
-        super().__init__(spec, field_, cap)
+    def __init__(self, spec):
+        self.n = spec.n
+        self.kappa = spec.kappa
         # every generator is found from the variables of its first term,
         # which must be kappa distinct variables owned by no other generator
         self.terms_by_lead = {}
@@ -150,6 +151,60 @@ class _GridQuotient(_GradedQuotient):
                     f"generator first term {lead} is not {self.kappa} "
                     "distinct variables of its own")
             self.terms_by_lead[key] = g.terms
+        self._blocks = {}
+
+    def block(self, w):
+        """(monomials, spanning rows over their positions, the rows'
+        nonzeros) of the weight-w block."""
+        if w not in self._blocks:
+            monos = monomials_with_weight(self.n, w[0], w[1])
+            rows, nnz = self._spanning_rows(monos)
+            self._blocks[w] = monos, rows, nnz
+        return self._blocks[w]
+
+    def _spanning_rows(self, monos):
+        """The products g * (M / t) for each block monomial M and generator
+        g whose first term t divides M, over the positions in `monos`, and
+        their nonzeros.  Since M -> M / t maps those M one-to-one onto g's
+        multipliers of the block's weight, these are the products of each
+        generator with each of its multipliers."""
+        index = {m: i for i, m in enumerate(monos)}
+        rows = []
+        nnz = 0
+        for M in monos:
+            for lead in itertools.combinations([v for v, _ in M], self.kappa):
+                terms = self.terms_by_lead.get(lead)
+                if terms is None:
+                    continue
+                cofactor = tuple((v, e - (v in lead)) for v, e in M
+                                 if e > (v in lead))
+                row = {index[mono_mul(m, cofactor)]: c
+                       for (m, _), c in terms.items()}
+                nnz += len(row)
+                rows.append(row)
+        return rows, nnz
+
+
+# one ideal's blocks at a time: a CLI invocation has one ideal, so every
+# prime, cell and step of it shares them, and memory stays bounded by one
+# ideal's blocks
+_grid_blocks = functools.lru_cache(maxsize=1)(_GridBlocks)
+
+
+class _GridQuotient(_GradedQuotient):
+    """A matrix-family ideal over one prime, graded by (row weight, column
+    weight).  Its blocks' bases and integer rows come from the ideal's
+    shared `_GridBlocks`; this prime reduces them."""
+
+    @staticmethod
+    def wedge_weight(n, T):
+        """(row weight, column weight) of grid variables: v adds one to row
+        v // n and to column v % n."""
+        return mono_weight(tuple((v, 1) for v in T), n)
+
+    def __init__(self, spec, field_, cap):
+        super().__init__(spec, field_, cap)
+        self.blocks = _grid_blocks(spec)
 
     def weights(self, total, use_symmetry):
         """One pair per orbit under permuting rows, permuting columns and
@@ -166,37 +221,18 @@ class _GridQuotient(_GradedQuotient):
             size = orbit_size(wE) * orbit_size(wF)
             yield (wE, wF), size if wE == wF else 2 * size
 
-    def _spanning_rows(self, monos, index):
-        """The products g * (M / t) for each block monomial M and generator
-        g whose first term t divides M.  Since M -> M / t maps those M
-        one-to-one onto g's multipliers of the block's weight, these are the
-        products of each generator with each of its multipliers."""
-        rows = []
-        nnz = 0
-        for M in monos:
-            for lead in itertools.combinations([v for v, _ in M], self.kappa):
-                terms = self.terms_by_lead.get(lead)
-                if terms is None:
-                    continue
-                cofactor = tuple((v, e - (v in lead)) for v, e in M
-                                 if e > (v in lead))
-                row = {index[mono_mul(m, cofactor)]: c
-                       for (m, _), c in terms.items()}
-                nnz += len(row)
-                rows.append(row)
-        check_cap(nnz, self.cap, "ideal block nonzeros")
-        return rows
-
     def _piece(self, b, w):
         """The quotient basis is the complement of the pivot monomials of
-        the fully reduced echelon form of the ideal's block."""
-        monos = monomials_with_weight(self.n, w[0], w[1])
-        index = {m: i for i, m in enumerate(monos)}
-        pivots = rref_of_rows(self._spanning_rows(monos, index), self.p)
-        qbasis = [m for m in monos if index[m] not in pivots]
+        the fully reduced echelon form of the ideal's block.  The cap is
+        checked on every use, since callers sharing a block may pass
+        different caps; `rref_of_rows` reduces into fresh rows, so the shared
+        integer rows stay as built."""
+        monos, rows, nnz = self.blocks.block(w)
+        check_cap(nnz, self.cap, "ideal block nonzeros")
+        pivots = rref_of_rows(rows, self.p)
+        qbasis = [m for i, m in enumerate(monos) if i not in pivots]
         reduce_map = {}
-        for m in monos:
-            i = index[m]
+        for i, m in enumerate(monos):
             if i not in pivots:
                 reduce_map[m] = {m: 1}
             else:

@@ -2,8 +2,15 @@ import functools
 
 import pytest
 
-from permres import verify
+from permres import oracle, verify
 from permres.modular import prime_fields
+
+
+@pytest.fixture(autouse=True)
+def _fresh_grid_blocks():
+    """Each test builds its own ideal blocks: one left over from an earlier
+    test would hide the work (and the checks) of building them."""
+    oracle._grid_blocks.cache_clear()
 
 
 @pytest.fixture(scope="session")

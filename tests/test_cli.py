@@ -162,6 +162,13 @@ def test_lascoux_bott_engine_runs_only_bott(capsys, monkeypatch):
     assert env["results"] == via_bott
 
 
+def test_lascoux_past_the_length(capsys):
+    code, env = run_json(capsys, "lascoux", "-n", "3", "-r", "1", "-j", "99",
+                         "--cache-dir", "none")
+    assert code == EXIT_OK
+    assert env["results"] == []
+
+
 def test_bott_subcommand(capsys, tmp_path):
     code, env = run_json(capsys, "bott", "--seq", "0,2,1",
                          "--cache-dir", str(tmp_path))

@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from permres import lascoux
 from permres.formulas import det_linear_strand_dim
 from permres.ideals import IdealSpec
 from permres.lascoux import (
@@ -14,7 +15,7 @@ from permres.lascoux import (
     resolution_length,
     resolution_via_bott,
 )
-from permres.partitions import specht_dim
+from permres.partitions import partitions, specht_dim
 from permres.tensorspace import monomial_count
 
 
@@ -95,6 +96,22 @@ def test_resolution_length_and_socle():
             assert socle[0].dim == 1
             assert lascoux_terms(n, r, top + 1) == []
             assert resolution_via_bott(n, r, top + 1) == []
+
+
+def test_far_past_the_length_stays_short(monkeypatch):
+    # only strands and parts that fit in n rows are enumerated, so a step
+    # far beyond (n-r)^2 is empty after a short walk, not after every
+    # partition of j - s^2 for every s <= sqrt(j)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] > 10_000:
+            raise AssertionError("lascoux_terms enumerated past n rows")
+        return partitions(*args, **kwargs)
+
+    monkeypatch.setattr(lascoux, "partitions", counted)
+    assert lascoux_terms(3, 1, 99) == []
 
 
 def test_gorenstein_dimension_symmetry(verify_ok):

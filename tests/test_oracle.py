@@ -10,6 +10,8 @@ from permres import oracle
 from permres.ideals import FAMILIES, IdealSpec, expand_generators
 from permres.oracle import (
     _betti_block,
+    _GridBlocks,
+    _GridQuotient,
     _graded_quotient,
     _span,
     _wedges,
@@ -85,7 +87,7 @@ def test_hilbert_matches_multiply_map_rank(field):
                         ) == want, (family, n, kappa, t, use_symmetry)
 
 
-def test_grid_quotient_checks_generator_first_terms(field, monkeypatch):
+def test_grid_quotient_checks_generator_first_terms(monkeypatch):
     # the ideal's rows are found through each generator's first term, so it
     # must be kappa distinct variables that no other generator starts with
     spec = IdealSpec("subpermanents", 3, 2)
@@ -94,7 +96,52 @@ def test_grid_quotient_checks_generator_first_terms(field, monkeypatch):
     for bad in (gens + gens[:1], gens[1:] + [square]):
         monkeypatch.setattr(oracle, "expand_generators", lambda _: bad)
         with pytest.raises(RuntimeError):
-            _graded_quotient(spec, field)
+            _GridBlocks(spec)
+
+
+def test_blocks_built_once_per_ideal(field_pair, monkeypatch):
+    # a block's basis and integer rows do not depend on the prime: two
+    # primes computing one cell expand the generators once and enumerate
+    # each weight's basis once, while each prime still reduces every block
+    spec = IdealSpec("minors", 3, 2)
+    calls = {"mww": [], "expand": 0, "piece": []}
+    mww, expand, piece = (oracle.monomials_with_weight,
+                          oracle.expand_generators, _GridQuotient._piece)
+
+    def counted_mww(n, wE, wF):
+        calls["mww"].append((wE, wF))
+        return mww(n, wE, wF)
+
+    def counted_expand(spec_):
+        calls["expand"] += 1
+        return expand(spec_)
+
+    def counted_piece(quot, b, w):
+        calls["piece"].append(w)
+        return piece(quot, b, w)
+
+    monkeypatch.setattr(oracle, "monomials_with_weight", counted_mww)
+    monkeypatch.setattr(oracle, "expand_generators", counted_expand)
+    monkeypatch.setattr(_GridQuotient, "_piece", counted_piece)
+    assert [betti_oracle(spec, 1, 3, f) for f in field_pair] == [16, 16]
+    weights = set(calls["piece"])
+    assert weights and len(calls["piece"]) == 2 * len(weights)
+    assert sorted(calls["mww"]) == sorted(weights)
+    assert calls["expand"] == 1
+
+
+def test_cap_binds_a_shared_block(field):
+    # blocks built without a cap are shared with later callers that pass
+    # one, so the cap is checked on every use, not only when a block is
+    # built; this cell's largest ideal block holds 26 nonzeros, and each of
+    # its Koszul differentials at most 25
+    spec = IdealSpec("subpermanents", 3, 2)
+    assert betti_oracle(spec, 0, 4, field, cap=None) == 0
+    assert hilbert_oracle(spec, 4, field, cap=None) == 333
+    with pytest.raises(ResourceCapError, match="ideal block"):
+        betti_oracle(spec, 0, 4, field, cap=25)
+    with pytest.raises(ResourceCapError, match="ideal block"):
+        hilbert_oracle(spec, 4, field, cap=25)
 
 
 def test_hilbert_two_primes_agree(field_pair):

@@ -21,6 +21,12 @@ print("installed")
 with contextlib.redirect_stdout(io.StringIO()):
     code = permres.cli.main(["bott", "--seq", "0,1", "--cache-dir", "none"])
 print(code, t.calls["cli"], t.calls["cli.handler"])
+# the oracle's memoised blocks must still call the wrapped functions: a memo
+# bound to the originals would hide them from the tracer
+with contextlib.redirect_stdout(io.StringIO()):
+    code = permres.cli.main(["betti", "--family", "minors", "-n", "3", "-k",
+                             "2", "--steps", "0", "--cache-dir", "none"])
+print(code, t.calls["tensorspace.mww"] > 0, t.calls["ideals.expand"])
 """
 
 
@@ -31,4 +37,4 @@ def test_tracer_hooks_install():
                           text=True, timeout=120)
     assert "MissingHookError" not in proc.stderr, proc.stderr
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["installed", "0 1 1"]
+    assert proc.stdout.splitlines() == ["installed", "0 1 1", "0 True 1"]
