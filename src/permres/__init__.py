@@ -34,7 +34,7 @@ from .lascoux import (
 )
 from .modular import PrimeField, agree_over_primes, prime_fields
 from .oracle import betti_oracle, hilbert_oracle, quotient_basis
-from .partitions import conjugate, induced_dim, schur_dim, specht_dim
+from .partitions import conjugate, schur_dim, specht_dim
 from .simplicial import (
     SimplicialComplex,
     alexander_dual_ideal,
@@ -67,7 +67,6 @@ __all__ = [
     "det_linear_strand_dim",
     "expand_generators",
     "hilbert_oracle",
-    "induced_dim",
     "koszul_transpose",
     "lascoux_terms",
     "monomial_syzygy",

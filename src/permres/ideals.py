@@ -4,7 +4,6 @@ of determinantal ideals."""
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 
 from .tensorspace import TensorElement, grid_index, mono_one, mono_times_var
 
@@ -34,12 +33,6 @@ class IdealSpec:
     @property
     def nvars(self):
         return self.n if self.family == "squarefree" else self.n * self.n
-
-    @property
-    def num_generators(self):
-        if self.family == "squarefree":
-            return comb(self.n, self.kappa)
-        return comb(self.n, self.kappa) ** 2
 
 
 @dataclass(frozen=True)

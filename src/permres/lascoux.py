@@ -54,9 +54,10 @@ def lascoux_terms(n, r, j):
     contributes; pairs with a partition longer than n drop out (dimension 0).
     The partitions have lengths s + r + beta_1 and s + r + alpha_1, so only
     strands s <= n - r and parts at most n - r - s are enumerated: the pairs
-    that fit in n rows, in the same order.  The result is multiplicity free.
-    Beyond step (n-r)^2 no such pair has weight j, so the enumeration is
-    empty there, and stays short, without an explicit guard.
+    that fit in n rows, in the same order.  Then alpha and beta each weigh
+    at most s(n - r - s), so only those splits of j - s^2 are walked; beyond
+    step (n-r)^2 there are none, and the enumeration is empty at once.  The
+    result is multiplicity free.
     """
     if not (1 <= r < n):
         raise ValueError("need 1 <= r < n")
@@ -65,25 +66,29 @@ def lascoux_terms(n, r, j):
         return terms
     for s in range(1, min(isqrt(j), n - r) + 1):
         rest = j - s * s
-        for wa in range(rest + 1):
+        most = s * (n - r - s)
+        for wa in range(max(0, rest - most), min(rest, most) + 1):
             for alpha in partitions(wa, max_length=s, max_part=n - r - s):
-                pad_a = alpha + (0,) * (s - len(alpha))
-                conj_a = conjugate(alpha)
                 for beta in partitions(rest - wa, max_length=s,
                                        max_part=n - r - s):
-                    pad_b = beta + (0,) * (s - len(beta))
-                    lam_e = _strip(
-                        tuple(s + x for x in pad_a) + (s,) * r + conjugate(beta)
-                    )
-                    lam_f = _strip(
-                        tuple(s + x for x in pad_b) + (s,) * r + conj_a
-                    )
+                    lam_e, lam_f = strand_pair(s, r, alpha, beta)
                     dim = schur_dim(lam_e, n) * schur_dim(lam_f, n)
                     if dim:
                         terms.append(
                             ResolutionTerm(j, s, s * r + j, lam_e, lam_f, dim)
                         )
     return terms
+
+
+def strand_pair(s, r, alpha, beta):
+    """The pair (s)^(r+s) + (alpha, 0^r, beta'), (s)^(r+s) + (beta, 0^r,
+    alpha') of strand s, for partitions alpha and beta with at most s
+    parts."""
+    pad_a = alpha + (0,) * (s - len(alpha))
+    pad_b = beta + (0,) * (s - len(beta))
+    lam_e = _strip(tuple(s + x for x in pad_a) + (s,) * r + conjugate(beta))
+    lam_f = _strip(tuple(s + x for x in pad_b) + (s,) * r + conjugate(alpha))
+    return lam_e, lam_f
 
 
 def bott_reduce(seq, rng=None):

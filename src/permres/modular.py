@@ -105,7 +105,7 @@ def prime_fields(seed, count=2):
     return fields
 
 
-def rank_of_rows(rows, p, ncols=None):
+def rank_of_rows(rows, p, ncols=None, pivot_rows=None):
     """Rank over F_p of a matrix given as sparse rows ({col: coeff}).
 
     One kernel for every shape: Markowitz-style sparse elimination that
@@ -116,14 +116,22 @@ def rank_of_rows(rows, p, ncols=None):
     active part fills in (see `_DENSE_FILL`), its rows and occupied columns
     are compacted and finished by `_rank_dense`.  `ncols` may name a width
     beyond the largest column used; the rank does not depend on it.
+
+    `pivot_rows`, if given, is a list that the kernel extends with the input
+    positions (0-based, counting zero rows) of its pivot rows: `rank`
+    distinct positions whose rows are linearly independent over F_p.  Each
+    pivot is its input row minus a combination of earlier pivots, so the
+    input rows at those positions span the same space as the pivots.
     """
     active = {}      # row index -> {col: nonzero coeff mod p}
     col_rows = {}    # occupied col -> indices of the active rows using it
-    for row in rows:
+    position = []    # row index -> input position
+    for k, row in enumerate(rows):
         r = {c: v % p for c, v in row.items() if v % p}
         if r:
             i = len(active)
             active[i] = r
+            position.append(k)
             for c in r:
                 if c in col_rows:
                     col_rows[c].add(i)
@@ -142,9 +150,14 @@ def rank_of_rows(rows, p, ncols=None):
         if (len(active) >= _DENSE_MIN_ROWS
                 and nnz > _DENSE_FILL * len(active) * len(col_rows)):
             index = {c: k for k, c in enumerate(sorted(col_rows))}
+            order = sorted(active)
             rest = [{index[c]: v for c, v in active[i].items()}
-                    for i in sorted(active)]
-            return rank + _rank_dense(rest, len(index), p)
+                    for i in order]
+            dense = []
+            rank += _rank_dense(rest, len(index), p, dense)
+            if pivot_rows is not None:
+                pivot_rows.extend(position[order[k]] for k in dense)
+            return rank
         while True:
             bucket = buckets.get(shortest)
             if not bucket:
@@ -157,6 +170,8 @@ def rank_of_rows(rows, p, ncols=None):
         del active[i]
         nnz -= len(row)
         rank += 1
+        if pivot_rows is not None:
+            pivot_rows.append(position[i])
         c = min(row, key=lambda cc: (len(col_rows[cc]), cc))
         for cc in row:
             users = col_rows[cc]
@@ -200,13 +215,16 @@ def rank_of_rows(rows, p, ncols=None):
     return rank
 
 
-def _rank_dense(rows, ncols, p):
+def _rank_dense(rows, ncols, p, pivot_rows=None):
+    """Rank by dense vectorized elimination; `pivot_rows` as for
+    `rank_of_rows`, tracked through the row swaps."""
     a = np.zeros((len(rows), ncols), dtype=np.int64)
     for i, row in enumerate(rows):
         for c, v in row.items():
             a[i, c] = v % p
     rank = 0
     nrows = len(rows)
+    order = list(range(nrows))  # current row -> input position
     for col in range(ncols):
         if rank == nrows:
             break
@@ -216,12 +234,15 @@ def _rank_dense(rows, ncols, p):
         piv = rank + int(nz[0])
         if piv != rank:
             a[[rank, piv]] = a[[piv, rank]]
+            order[rank], order[piv] = order[piv], order[rank]
         inv = pow(int(a[rank, col]), p - 2, p)
         a[rank] = a[rank] * inv % p
         below = rank + 1 + np.nonzero(a[rank + 1:, col])[0]
         if below.size:
             a[below] = (a[below] - a[below, col][:, None] * a[rank]) % p
         rank += 1
+    if pivot_rows is not None:
+        pivot_rows.extend(order[:rank])
     return rank
 
 

@@ -5,7 +5,7 @@ Partitions are plain tuples of weakly decreasing positive integers, stored
 without trailing zeros.  All counts are exact Python integers.
 """
 
-from math import comb, factorial
+from math import factorial
 
 
 def check_partition(parts):
@@ -79,22 +79,6 @@ def schur_dim(parts, m):
     return num // den
 
 
-def induced_dim(dim_w, order_h, order_g):
-    """Dimension of a module induced from a subgroup of index
-    order_g/order_h: dim_w * order_g / order_h.
-
-    Non-divisibility signals a caller bug (wrong subgroup order).
-    """
-    if dim_w < 1 or order_h < 1 or order_g < 1:
-        raise ValueError("dimensions and group orders must be positive")
-    num = dim_w * order_g
-    if num % order_h:
-        raise ValueError(
-            f"induced dimension {dim_w}*{order_g}/{order_h} is not an integer"
-        )
-    return num // order_h
-
-
 def partitions(total, max_length=None, max_part=None):
     """Yield all partitions of `total`, largest part first, optionally with
     bounded length and bounded largest part."""
@@ -114,8 +98,3 @@ def partitions(total, max_length=None, max_part=None):
                 yield (first,) + rest
 
     yield from rec(total, max_part, max_length)
-
-
-def hook_specht_dim(arm, legs):
-    """Dimension of the Specht module of the hook (arm, 1^legs)."""
-    return comb(arm + legs - 1, legs)

@@ -40,10 +40,6 @@ def grid_index(n, i, j):
     return (i - 1) * n + (j - 1)
 
 
-def grid_position(n, var):
-    return var // n + 1, var % n + 1
-
-
 def mono_one():
     return ()
 
@@ -74,12 +70,6 @@ def mono_weight(m, n):
         w_rows[var // n] += e
         w_cols[var % n] += e
     return tuple(w_rows), tuple(w_cols)
-
-
-def is_regular_weight(w):
-    """True when every entry of both weight vectors is 0 or 1."""
-    w_rows, w_cols = w
-    return all(x in (0, 1) for x in w_rows) and all(x in (0, 1) for x in w_cols)
 
 
 def monomial_count(nvars, d):

@@ -5,7 +5,7 @@ detail} so the results serialize directly into the CLI envelope."""
 
 import itertools
 import random
-from math import comb
+from math import comb, isqrt
 
 from . import formulas, lascoux, oracle, simplicial
 from .ideals import (
@@ -19,11 +19,28 @@ from .ideals import (
     tensor_laplace,
 )
 from .modular import prime_fields
+from .partitions import partitions, schur_dim
 from .tensorspace import koszul_transpose
 
 
 def _row(suite, check, ok, detail=""):
     return {"suite": suite, "check": check, "ok": bool(ok), "detail": detail}
+
+
+def _unbounded_strand_pairs(n, r, j):
+    """The partition pairs of `lascoux_terms`' closed form at step j that
+    are nonzero in n rows, enumerated over every strand s <= sqrt(j) and
+    every split of j - s^2, with none of its bounds on strands or parts."""
+    pairs = set()
+    for s in range(1, isqrt(j) + 1):
+        rest = j - s * s
+        for wa in range(rest + 1):
+            for alpha in partitions(wa, max_length=s):
+                for beta in partitions(rest - wa, max_length=s):
+                    lam_e, lam_f = lascoux.strand_pair(s, r, alpha, beta)
+                    if schur_dim(lam_e, n) and schur_dim(lam_f, n):
+                        pairs.add((lam_e, lam_f))
+    return pairs
 
 
 def verify_formulas(expensive=False, seed=0):
@@ -204,6 +221,13 @@ def verify_lascoux(expensive=False, seed=0):
                 bad.append((n, r, "empty top"))
             if lascoux.lascoux_terms(n, r, length + 1):
                 bad.append((n, r, "terms beyond top"))
+            # the pairs lascoux_terms skips vanish in n rows, up to and
+            # including the first step past the top
+            for j in range(1, length + 2):
+                got = {(t.lam_e, t.lam_f)
+                       for t in lascoux.lascoux_terms(n, r, j)}
+                if got != _unbounded_strand_pairs(n, r, j):
+                    bad.append((n, r, j, "bound"))
             for j in range(0, length + 1):
                 if lascoux.step_dimension(n, r, j) != lascoux.step_dimension(
                     n, r, length - j

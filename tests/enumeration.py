@@ -1,6 +1,8 @@
 """Independent brute-force enumerations used as test oracles.  These stay
 deliberately naive: counting objects one by one, never through the closed
-forms they are checking."""
+forms they are checking.  Two small helpers that only tests use as
+independent formulas live here too: the regular-weight predicate and the
+dimension of an induced module."""
 
 import itertools
 from functools import cache
@@ -52,6 +54,28 @@ def count_semistandard_tableaux(shape, m):
         return total
 
     return fill(0, (0,) * shape[0])
+
+
+def is_regular_weight(w):
+    """True when every entry of both weight vectors is 0 or 1."""
+    w_rows, w_cols = w
+    return all(x in (0, 1) for x in w_rows) and all(x in (0, 1) for x in w_cols)
+
+
+def induced_dim(dim_w, order_h, order_g):
+    """Dimension of a module induced from a subgroup of index
+    order_g/order_h: dim_w * order_g / order_h.
+
+    Non-divisibility signals a caller bug (wrong subgroup order).
+    """
+    if dim_w < 1 or order_h < 1 or order_g < 1:
+        raise ValueError("dimensions and group orders must be positive")
+    num = dim_w * order_g
+    if num % order_h:
+        raise ValueError(
+            f"induced dimension {dim_w}*{order_g}/{order_h} is not an integer"
+        )
+    return num // order_h
 
 
 def monomials_dense(nvars, degree):

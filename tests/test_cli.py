@@ -169,6 +169,26 @@ def test_lascoux_past_the_length(capsys):
     assert env["results"] == []
 
 
+def test_lascoux_far_past_the_length_is_short(capsys, monkeypatch):
+    # past the resolution length no split of j - s^2 fits in n rows, so the
+    # direct engine walks no partitions at all, however large j is
+    calls = [0]
+    partitions = lascoux.partitions
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] > 1_000:
+            raise AssertionError("lascoux_terms walked splits past the length")
+        return partitions(*args, **kwargs)
+
+    monkeypatch.setattr(lascoux, "partitions", counted)
+    code, env = run_json(capsys, "lascoux", "-n", "3", "-r", "1", "-j",
+                         "100000000", "--cache-dir", "none")
+    assert code == EXIT_OK
+    assert env["results"] == []
+    assert calls[0] == 0
+
+
 def test_bott_subcommand(capsys, tmp_path):
     code, env = run_json(capsys, "bott", "--seq", "0,2,1",
                          "--cache-dir", str(tmp_path))

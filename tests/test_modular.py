@@ -195,6 +195,51 @@ def test_rank_degenerate_inputs():
     assert got == _dense_rank_of_used_columns(rows, p)
 
 
+def _rank_and_pivot_rows(rows, p):
+    """The kernel's rank and pivot rows, checked: `rank` distinct input
+    positions whose rows have that rank, and the same rank as without
+    `pivot_rows`."""
+    out = []
+    rank = rank_of_rows(rows, p, pivot_rows=out)
+    assert rank == rank_of_rows(rows, p)
+    assert len(out) == len(set(out)) == rank
+    assert all(0 <= k < len(rows) for k in out)
+    assert _dense_rank_of_used_columns([rows[k] for k in out], p) == rank
+    return rank, out
+
+
+def test_pivot_rows_skip_zero_rows():
+    # zero rows and rows that vanish mod p come first, so an active row's
+    # index differs from its input position
+    p = prime_fields(0, 1)[0].modulus
+    zeros = [{}, {0: p, 3: -2 * p}, {1: 3 * p}]
+    rows = zeros + [{0: 1, 1: 1}, {0: 2, 1: 2}, {1: 1, 2: 5}, {2: p + 1}]
+    rank, out = _rank_and_pivot_rows(rows, p)
+    assert rank == 3
+    assert min(out) >= len(zeros)
+
+
+@pytest.mark.parametrize("m,k", [(10, 3), (11, 3)])
+def test_pivot_rows_sparse_phase(m, k):
+    p = prime_fields(0, 1)[0].modulus
+    rows = _simplex_boundary(m, k)
+    assert _rank_and_dense_finishes(rows, p)[1] == 0
+    assert _rank_and_pivot_rows(rows, p)[0] == math.comb(m - 1, k)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_pivot_rows_through_dense_finish(seed):
+    # a planted rank that hands off to `_rank_dense`, behind a zero row: the
+    # dense finish's row swaps map back to input positions
+    p = prime_fields(0, 1)[0].modulus
+    rng = random.Random(seed)
+    left = _sparse_factor(rng, 300, 185, 1, p)
+    right = _sparse_factor(rng, 185, 200, 3, p)
+    rows = [{}] + _product(left, right, p)
+    assert _rank_and_dense_finishes(rows, p)[1] == 1
+    assert _rank_and_pivot_rows(rows, p)[0] == 185
+
+
 @settings(deadline=None, derandomize=True, max_examples=25)
 @given(nrows=st.integers(140, 180), per_row=st.integers(10, 12),
        data=st.data())

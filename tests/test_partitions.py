@@ -4,13 +4,15 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from enumeration import count_semistandard_tableaux, count_standard_tableaux
+from enumeration import (
+    count_semistandard_tableaux,
+    count_standard_tableaux,
+    induced_dim,
+)
 from permres.partitions import (
     check_partition,
     conjugate,
     hook_partition,
-    hook_specht_dim,
-    induced_dim,
     partitions,
     schur_dim,
     specht_dim,
@@ -71,7 +73,6 @@ def test_specht_dim_hooks():
         for j in range(1, 6):
             parts = hook_partition(kappa, j - 1)
             assert specht_dim(parts) == comb(kappa + j - 2, j - 1)
-            assert hook_specht_dim(kappa, j - 1) == specht_dim(parts)
 
 
 def test_specht_dim_matches_tableau_enumeration():
@@ -123,8 +124,9 @@ def test_induced_dim_hook_modules():
             for j in range(1, n - kappa + 2):
                 m = kappa + j - 1
                 order_h = factorial(m) * factorial(n - m)
-                got = induced_dim(hook_specht_dim(kappa, j - 1), order_h,
-                                  factorial(n))
+                got = induced_dim(
+                    count_standard_tableaux(hook_partition(kappa, j - 1)),
+                    order_h, factorial(n))
                 assert got == comb(kappa + j - 2, j - 1) * comb(n, m)
 
 
