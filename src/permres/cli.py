@@ -4,11 +4,11 @@ oracle values, a persistent result cache, and verification suites.
 Exit codes: 0 success, 2 formula/oracle mismatch, failed verification,
 failed cache audit or three disagreeing primes, 3 resource cap exceeded,
 4 invalid parameters, among them a negative step or degree, which is
-rejected before any cell runs, and a cache directory that cannot be opened
-(a message on stderr, nothing on stdout).  A failure with exit 2 or 3 that
-leaves no results prints an `error` object (its type and message) next to
-the empty results; with --csv that is one row with `error` and `message`
-columns.
+rejected before any cell runs, and a cache directory that cannot be opened,
+read or written (a message on stderr, nothing on stdout).  A failure with
+exit 2 or 3 that leaves no results prints an `error` object (its type and
+message) next to the empty results; with --csv that is one row with `error`
+and `message` columns.
 """
 
 import argparse
@@ -387,6 +387,9 @@ def main(argv=None):
         results, primes = [], []
     except (ValueError, KeyError) as exc:
         return _invalid(exc)
+    except OSError as exc:
+        # the cache is the only file I/O a handler does
+        return _invalid(f"cannot use the cache directory: {exc}")
 
     envelope = {
         "request": request,

@@ -12,13 +12,6 @@ from math import comb
 from .partitions import hook_partition, schur_dim
 
 
-def _comb0(a, b):
-    """Binomial that is 0 outside the usual range instead of raising."""
-    if a < 0 or b < 0 or b > a:
-        return 0
-    return comb(a, b)
-
-
 def perm_linear_strand_dim(n, kappa, j):
     """Dimension of the degree kappa+j-1 generators of the j-th term of the
     linear strand for the kappa x kappa sub-permanent ideal:
@@ -90,47 +83,25 @@ def perm2_ideal_hilbert(n, t):
     return comb(n * n + t - 1, t) - perm2_quotient_hilbert(n, t)
 
 
-def sqfree_ideal_hilbert(n, kappa, d, corrected=True):
+def sqfree_ideal_hilbert(n, kappa, d):
     """Hilbert function of the ideal of degree-kappa square-free monomials:
     the number of degree-d monomials in n variables involving at least kappa
-    distinct variables, sum_{s>=kappa} C(n,s) C(d-1,s-1).
-
-    With corrected=False, evaluates an alternative binomial form (binomials
-    C(n, kappa-j) instead of C(n, kappa+j)) kept only to document that it
-    disagrees with the enumeration oracle, e.g. at (n,kappa,d)=(3,2,3).
-    """
+    distinct variables, sum_{s>=kappa} C(n,s) C(d-1,s-1)."""
     if d < 0:
         raise ValueError("need d >= 0")
-    if not corrected:
-        t = d - kappa
-        return sum(
-            _comb0(n, kappa - j) * _comb0(kappa + t - 1, kappa + j - 1)
-            for j in range(0, n - kappa + 1)
-        )
     return sum(
         comb(n, s) * comb(d - 1, s - 1) for s in range(kappa, min(d, n) + 1)
     )
 
 
-def sqfree_quotient_hilbert(n, kappa, d, corrected=True):
+def sqfree_quotient_hilbert(n, kappa, d):
     """Hilbert function of the quotient by the square-free ideal: monomials
     with at most kappa-1 distinct variables, sum_{j<=kappa-2} C(n,j+1) C(d-1,j)
-    for d >= 1.
-
-    With corrected=False, evaluates an alternative form whose summation stops
-    at n-kappa-2; it is kept only to document that it disagrees with the
-    enumeration oracle, e.g. at (n,kappa,d)=(3,2,1).
-    """
+    for d >= 1."""
     if d < 0:
         raise ValueError("need d >= 0")
     if d == 0:
         return 1
-    if not corrected:
-        if d < n - kappa - 1:
-            return comb(n + d - 1, n - 1)
-        return sum(
-            comb(n, j + 1) * comb(d - 1, j) for j in range(0, n - kappa - 1)
-        )
     return sum(comb(n, j + 1) * comb(d - 1, j) for j in range(0, kappa - 1))
 
 

@@ -43,7 +43,7 @@ def is_prime(m):
     """Deterministic primality test (Miller-Rabin with fixed witnesses)."""
     if m < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if m % q == 0:
             return m == q
     d = m - 1
@@ -105,7 +105,7 @@ def prime_fields(seed, count=2):
     return fields
 
 
-def rank_of_rows(rows, p, ncols=None, pivot_rows=None):
+def rank_of_rows(rows, p, pivot_rows=None):
     """Rank over F_p of a matrix given as sparse rows ({col: coeff}).
 
     One kernel for every shape: Markowitz-style sparse elimination that
@@ -114,8 +114,7 @@ def rank_of_rows(rows, p, ncols=None, pivot_rows=None):
     equals), so the pivot sequence is deterministic for a fixed prime.  The
     shortest row comes from a bucket queue keyed by row length.  Once the
     active part fills in (see `_DENSE_FILL`), its rows and occupied columns
-    are compacted and finished by `_rank_dense`.  `ncols` may name a width
-    beyond the largest column used; the rank does not depend on it.
+    are compacted and finished by `_rank_dense`.
 
     `pivot_rows`, if given, is a list that the kernel extends with the input
     positions (0-based, counting zero rows) of its pivot rows: `rank`

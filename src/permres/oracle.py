@@ -12,14 +12,21 @@ weight) for the two-sided torus on the n x n grid of the matrix families,
 and the multidegree, the case of the diagonal torus of the n variables, for
 the square-free family.  A family enters only through its graded quotient:
 how variables add to a weight, the weights of a degree with their orbit
-multiplicities, and the block's quotient basis with a reduction map.  The
+multiplicities, and the block's quotient basis with a reduction map mod p
+(`quotient(w, p, cap)`; a block's degree |w| is the sum of w[0]).  The
 ideal's dimension in a block is read off that piece: the block's monomials
 minus its quotient basis.  For the matrix families the ideal's block is
 spanned by the products g * (M / t) over the block's monomials M and the
 generators g whose first term t divides M, and one fully reduced echelon
-form of those rows gives the piece.  The block's monomials and those integer
-rows do not depend on the prime, so they are built once per ideal and shared
-by every prime, cell and step; each prime reduces them itself.
+form of those rows gives the piece.
+
+There is one graded quotient per ideal (`_graded_quotient(spec)`, which
+keeps the last ideal's), and it holds all of that ideal's state.  The
+block's monomials and integer rows do not depend on the prime, so they are
+built once; the reduced pieces sit in one memo keyed by (weight, prime), so
+each prime reduces each block once per ideal, not once per cell or step.
+The prime and the cap are arguments of each use, and the cap is checked on
+every use.
 
 Permuting rows and columns (or variables) preserves the ideals, so block
 dimensions only depend on the sorted weight; the transpose x_ij -> x_ji
@@ -106,47 +113,23 @@ def _nonneg(w):
 # graded quotients: one per family
 
 
-class _GradedQuotient:
-    """S/I for one ideal over one prime field, split into blocks by degree b
-    and weight w, a pair (outer, inner) of tuples.  A family says how
-    variables add to a weight (`wedge_weight`), the weights of a degree with
-    their orbit multiplicities (`weights`), and the block's quotient basis
-    with a reduction map (`_piece`, memoised by `quotient`); the ideal's
-    dimension in a block is read off that piece.  What a piece needs before
-    reduction mod p (the matrix families' bases and integer rows) is built
-    once per ideal, not per prime."""
+class _GridQuotient:
+    """S/I for a matrix-family ideal, split into blocks by weight w, a pair
+    (row weight, column weight).  It owns the table of generator first
+    terms, the prime-free blocks (each weight's monomials, the integer rows
+    spanning the ideal's block and their nonzeros), and one memo of each
+    block's piece reduced mod p, keyed by (w, p).  So every cell and step
+    of an ideal shares the blocks, and each prime reduces each block once."""
 
-    def __init__(self, spec, field_, cap):
-        self.n = spec.n
-        self.nvars = spec.nvars
-        self.kappa = spec.kappa
-        self.p = field_.modulus
-        self.cap = cap
-        self._quotient = {}
-
-    def quotient(self, b, w):
-        """(quotient basis monomials, reduction map) for degree b, weight w;
-        the reduction map rewrites every monomial of the block as a
-        combination of basis monomials mod I."""
-        key = (b, w)
-        if key not in self._quotient:
-            self._quotient[key] = self._piece(b, w)
-        return self._quotient[key]
-
-    def ideal_rank(self, b, w):
-        """dim of the ideal's block: the block's monomials that reduce to
-        something other than themselves."""
-        qbasis, reduce_map = self.quotient(b, w)
-        return len(reduce_map) - len(qbasis)
-
-
-class _GridBlocks:
-    """The prime-independent part of a matrix-family ideal: for each weight
-    pair w, the block's monomial basis and the integer spanning rows of the
-    ideal's block, built once and read by every prime, cell and step."""
+    @staticmethod
+    def wedge_weight(n, T):
+        """(row weight, column weight) of grid variables: v adds one to row
+        v // n and to column v % n."""
+        return mono_weight(tuple((v, 1) for v in T), n)
 
     def __init__(self, spec):
         self.n = spec.n
+        self.nvars = spec.nvars
         self.kappa = spec.kappa
         # every generator is found from the variables of its first term,
         # which must be kappa distinct variables owned by no other generator
@@ -161,15 +144,48 @@ class _GridBlocks:
                     "distinct variables of its own")
             self.terms_by_lead[key] = g.terms
         self._blocks = {}
+        self._pieces = {}
 
-    def block(self, w):
-        """(monomials, spanning rows over their positions, the rows'
-        nonzeros) of the weight-w block."""
+    def weights(self, total, use_symmetry):
+        """One pair per orbit under permuting rows, permuting columns and
+        transposing (the dominant pairs with wF <= wE, since transposing
+        swaps the two), or every pair once."""
+        if not use_symmetry:
+            for wE in compositions(total, self.n):
+                for wF in compositions(total, self.n):
+                    yield (wE, wF), 1
+            return
+        # dominant_weights yields in decreasing order, so each pair has wF <= wE
+        dominant = list(dominant_weights(total, self.n))
+        for wE, wF in itertools.combinations_with_replacement(dominant, 2):
+            size = orbit_size(wE) * orbit_size(wF)
+            yield (wE, wF), size if wE == wF else 2 * size
+
+    def quotient(self, w, p, cap):
+        """(quotient basis monomials, reduction map) of the weight-w block
+        mod p; the reduction map rewrites every monomial of the block as a
+        combination of basis monomials mod I.  The basis is the complement
+        of the pivot monomials of the fully reduced echelon form of the
+        ideal's block.  The cap is checked on every use, since callers
+        sharing a block may pass different caps; `rref_of_rows` reduces into
+        fresh rows, so the shared integer rows stay as built."""
         if w not in self._blocks:
             monos = monomials_with_weight(self.n, w[0], w[1])
-            rows, nnz = self._spanning_rows(monos)
-            self._blocks[w] = monos, rows, nnz
-        return self._blocks[w]
+            self._blocks[w] = (monos, *self._spanning_rows(monos))
+        monos, rows, nnz = self._blocks[w]
+        check_cap(nnz, cap, "ideal block nonzeros")
+        if (w, p) not in self._pieces:
+            pivots = rref_of_rows(rows, p)
+            qbasis = [m for i, m in enumerate(monos) if i not in pivots]
+            reduce_map = {}
+            for i, m in enumerate(monos):
+                if i not in pivots:
+                    reduce_map[m] = {m: 1}
+                else:
+                    reduce_map[m] = {monos[c]: -v % p
+                                     for c, v in pivots[i].items() if c != i}
+            self._pieces[w, p] = qbasis, reduce_map
+        return self._pieces[w, p]
 
     def _spanning_rows(self, monos):
         """The products g * (M / t) for each block monomial M and generator
@@ -194,71 +210,12 @@ class _GridBlocks:
         return rows, nnz
 
 
-# one ideal's blocks at a time: a CLI invocation has one ideal, so every
-# prime, cell and step of it shares them, and memory stays bounded by one
-# ideal's blocks
-_grid_blocks = functools.lru_cache(maxsize=1)(_GridBlocks)
-
-
-class _GridQuotient(_GradedQuotient):
-    """A matrix-family ideal over one prime, graded by (row weight, column
-    weight).  Its blocks' bases and integer rows come from the ideal's
-    shared `_GridBlocks`; this prime reduces them."""
-
-    @staticmethod
-    def wedge_weight(n, T):
-        """(row weight, column weight) of grid variables: v adds one to row
-        v // n and to column v % n."""
-        return mono_weight(tuple((v, 1) for v in T), n)
-
-    def __init__(self, spec, field_, cap):
-        super().__init__(spec, field_, cap)
-        self.blocks = _grid_blocks(spec)
-
-    def weights(self, total, use_symmetry):
-        """One pair per orbit under permuting rows, permuting columns and
-        transposing (the dominant pairs with wF <= wE, since transposing
-        swaps the two), or every pair once."""
-        if not use_symmetry:
-            for wE in compositions(total, self.n):
-                for wF in compositions(total, self.n):
-                    yield (wE, wF), 1
-            return
-        # dominant_weights yields in decreasing order, so each pair has wF <= wE
-        dominant = list(dominant_weights(total, self.n))
-        for wE, wF in itertools.combinations_with_replacement(dominant, 2):
-            size = orbit_size(wE) * orbit_size(wF)
-            yield (wE, wF), size if wE == wF else 2 * size
-
-    def _piece(self, b, w):
-        """The quotient basis is the complement of the pivot monomials of
-        the fully reduced echelon form of the ideal's block.  The cap is
-        checked on every use, since callers sharing a block may pass
-        different caps; `rref_of_rows` reduces into fresh rows, so the shared
-        integer rows stay as built."""
-        monos, rows, nnz = self.blocks.block(w)
-        check_cap(nnz, self.cap, "ideal block nonzeros")
-        pivots = rref_of_rows(rows, self.p)
-        qbasis = [m for i, m in enumerate(monos) if i not in pivots]
-        reduce_map = {}
-        for i, m in enumerate(monos):
-            if i not in pivots:
-                reduce_map[m] = {m: 1}
-            else:
-                reduce_map[m] = {
-                    monos[c]: -v % self.p
-                    for c, v in pivots[i].items()
-                    if c != i
-                }
-        return qbasis, reduce_map
-
-
-class _SquarefreeQuotient(_GradedQuotient):
+class _SquarefreeQuotient:
     """The ideal of degree-kappa square-free monomials, graded by
     multidegree.  A multidegree holds a single monomial, which lies outside
     the ideal iff it involves fewer than kappa distinct variables, so a
     block's quotient basis is that monomial or nothing and its reduction map
-    is the identity or zero."""
+    is the identity or zero, over every prime and with no matrix to cap."""
 
     @staticmethod
     def wedge_weight(n, T):
@@ -267,6 +224,11 @@ class _SquarefreeQuotient(_GradedQuotient):
         for v in T:
             w[v] += 1
         return tuple(w), ()
+
+    def __init__(self, spec):
+        self.n = spec.n
+        self.nvars = spec.nvars
+        self.kappa = spec.kappa
 
     def weights(self, total, use_symmetry):
         """One multidegree per orbit under permuting the variables, or every
@@ -278,17 +240,21 @@ class _SquarefreeQuotient(_GradedQuotient):
             for w in compositions(total, self.n):
                 yield (w, ()), 1
 
-    def _piece(self, b, w):
+    def quotient(self, w, p, cap):
         mono = tuple((v, e) for v, e in enumerate(w[0]) if e)
         if len(mono) < self.kappa:
             return [mono], {mono: {mono: 1}}
         return [], {mono: {}}
 
 
-def _graded_quotient(spec, field_, cap=DEFAULT_NNZ_CAP):
+# one ideal at a time: a CLI invocation has one ideal, so every prime, cell
+# and step of it shares the quotient, and memory stays bounded by one
+# ideal's blocks and pieces
+@functools.lru_cache(maxsize=1)
+def _graded_quotient(spec):
     if spec.family == "squarefree":
-        return _SquarefreeQuotient(spec, field_, cap)
-    return _GridQuotient(spec, field_, cap)
+        return _SquarefreeQuotient(spec)
+    return _GridQuotient(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -329,36 +295,32 @@ def _wedges(quot, r):
     return _wedge_index(quot.wedge_weight, quot.n, quot.nvars, r)
 
 
-def _span(quot, wedges, b, w):
+def _span(quot, p, cap, wedges, w):
     """Basis [(wedge, quotient monomial)] of the weight-w block of
-    Lambda^r (x) (S/I)_b, for the `_WedgeIndex` of r-subsets, and the
-    reduction map of each wedge's quotient piece, for the wedges that have
-    one."""
+    Lambda^r (x) S/I, for the `_WedgeIndex` of r-subsets, and the reduction
+    map mod p of each wedge's quotient piece, for the wedges that have one.
+    The pieces have degree |w| - r; below r no wedge fits under w."""
     items = []
     reduce_of = {}
-    if b < 0:
-        return items, reduce_of
     for tE, by_inner in wedges.fitting(w[0]):
         mE = _sub(w[0], tE)
         for tF, group in by_inner.items():
             mF = _sub(w[1], tF)
             if not _nonneg(mF):
                 continue
-            qbasis, reduce_map = quot.quotient(b, (mE, mF))
+            qbasis, reduce_map = quot.quotient((mE, mF), p, cap)
             if qbasis:
                 items.extend((T, u) for T in group for u in qbasis)
                 reduce_of.update(dict.fromkeys(group, reduce_map))
     return items, reduce_of
 
 
-def _differential(quot, source, reduce_of, target_index):
-    """Rows of the Koszul differential on the window basis `source`, over
-    the positions of `target_index`: (T, u) goes to the sum over a of
+def _differential(p, cap, source, reduce_of, target_index):
+    """Rows mod p of the Koszul differential on the window basis `source`,
+    over the positions of `target_index`: (T, u) goes to the sum over a of
     (-1)^a (T minus T[a], u x_T[a]), and u x_v lies in the quotient piece
     paired with T minus v, so it reduces by the map `reduce_of` records for
-    that wedge (no map: that piece is zero).  `quot.cap` bounds the
-    nonzeros."""
-    p = quot.p
+    that wedge (no map: that piece is zero).  `cap` bounds the nonzeros."""
     rows = []
     for T, u in source:
         col = {}
@@ -371,14 +333,14 @@ def _differential(quot, source, reduce_of, target_index):
                 j = target_index[(T2, m2)]
                 col[j] = (col.get(j, 0) + (-1) ** a * c2) % p
         rows.append({k: v for k, v in col.items() if v})
-    check_cap(sum(map(len, rows)), quot.cap, "Koszul window nonzeros")
+    check_cap(sum(map(len, rows)), cap, "Koszul window nonzeros")
     return rows
 
 
-def _betti_block(quot, wedges, i, d, w):
-    """Homology dimension of the weight-w block of the Koszul window
+def _betti_block(quot, p, cap, wedges, i, w):
+    """Homology dimension mod p of the weight-w block of the Koszul window
     Lambda^(i+2) (x) (S/I)_(d-i-2) -> Lambda^(i+1) (x) (S/I)_(d-i-1)
-    -> Lambda^i (x) (S/I)_(d-i).
+    -> Lambda^i (x) (S/I)_(d-i), where d = |w|.
 
     The middle map is ranked first, and its nullity bounds the homology: at
     0 the block is done.  Otherwise the top map is ranked on the middle
@@ -388,26 +350,26 @@ def _betti_block(quot, wedges, i, d, w):
     R map to independent vectors.  So dropping those coordinates is
     one-to-one on the image, over every prime, and the restricted top map
     has only nullity columns.  The cap bounds each full differential."""
-    middle, middle_reduce = _span(quot, wedges[i + 1], d - i - 1, w)
+    middle, middle_reduce = _span(quot, p, cap, wedges[i + 1], w)
     if not middle:
         return 0
-    bottom, bottom_reduce = _span(quot, wedges[i], d - i, w)
+    bottom, bottom_reduce = _span(quot, p, cap, wedges[i], w)
     bottom_index = {x: j for j, x in enumerate(bottom)}
     pivots = []
     nullity = len(middle) - rank_of_rows(
-        _differential(quot, middle, bottom_reduce, bottom_index), quot.p,
-        ncols=len(bottom), pivot_rows=pivots)
+        _differential(p, cap, middle, bottom_reduce, bottom_index), p,
+        pivot_rows=pivots)
     if not nullity:
         return 0
-    top, _ = _span(quot, wedges[i + 2], d - i - 2, w)
+    top, _ = _span(quot, p, cap, wedges[i + 2], w)
     if not top:
         return nullity
     middle_index = {x: j for j, x in enumerate(middle)}
     free = {j: k for k, j in
             enumerate(sorted(set(range(len(middle))) - set(pivots)))}
     rows = [{free[j]: v for j, v in row.items() if j in free}
-            for row in _differential(quot, top, middle_reduce, middle_index)]
-    return nullity - rank_of_rows(rows, quot.p, ncols=nullity)
+            for row in _differential(p, cap, top, middle_reduce, middle_index)]
+    return nullity - rank_of_rows(rows, p)
 
 
 # ---------------------------------------------------------------------------
@@ -428,18 +390,21 @@ def hilbert_oracle(spec, t, field_, *, use_symmetry=True,
     every weight."""
     if t < spec.kappa:
         return 0
-    quot = _graded_quotient(spec, field_, cap)
-    return sum(quot.ideal_rank(t, w) * size
-               for w, size in quot.weights(t, use_symmetry))
+    quot = _graded_quotient(spec)
+    total = 0
+    for w, size in quot.weights(t, use_symmetry):
+        qbasis, reduce_map = quot.quotient(w, field_.modulus, cap)
+        total += (len(reduce_map) - len(qbasis)) * size
+    return total
 
 
 def quotient_basis(spec, t, field_, cap=DEFAULT_NNZ_CAP):
     """Monomials spanning (S/I)_t (complement of the pivot monomials under
     the canonical order), together with the dimension."""
-    quot = _graded_quotient(spec, field_, cap)
+    quot = _graded_quotient(spec)
     keep = set()
     for w, _ in quot.weights(t, use_symmetry=False):
-        qbasis, _ = quot.quotient(t, w)
+        qbasis, _ = quot.quotient(w, field_.modulus, cap)
         keep.update(qbasis)
     basis = [m for m in monomials(spec.nvars, t, cap=cap) if m in keep]
     return basis, len(basis)
@@ -457,11 +422,11 @@ def betti_oracle(spec, i, d, field_, *, use_symmetry=True,
     block and of each differential."""
     if i < 0:
         raise ValueError("step must be nonnegative")
-    quot = _graded_quotient(spec, field_, cap)
+    quot = _graded_quotient(spec)
     wedges = {r: _wedges(quot, r) for r in (i, i + 1, i + 2)}
     total = 0
     for w, size in quot.weights(d, use_symmetry):
-        h = _betti_block(quot, wedges, i, d, w)
+        h = _betti_block(quot, field_.modulus, cap, wedges, i, w)
         if h:
             total += h * size
     return total

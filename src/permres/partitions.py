@@ -5,7 +5,7 @@ Partitions are plain tuples of weakly decreasing positive integers, stored
 without trailing zeros.  All counts are exact Python integers.
 """
 
-from math import factorial
+from math import factorial, prod
 
 
 def check_partition(parts):
@@ -69,14 +69,11 @@ def schur_dim(parts, m):
         raise ValueError("m must be nonnegative")
     if len(parts) > m:
         return 0
-    conj = conjugate(parts)
     num = 1
-    den = 1
     for i in range(len(parts)):
         for j in range(parts[i]):
             num *= m + j - i
-            den *= (parts[i] - j) + (conj[j] - i) - 1
-    return num // den
+    return num // prod(hook_lengths(parts))
 
 
 def partitions(total, max_length=None, max_part=None):

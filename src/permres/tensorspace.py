@@ -269,4 +269,4 @@ def multiply_map_rank(generators, nvars, from_degree, to_degree, field,
             rows.append({
                 cols[mono_mul(m, mult)]: c for (m, _), c in g.terms.items()
             })
-    return rank_of_rows(rows, field.modulus, ncols=len(cols))
+    return rank_of_rows(rows, field.modulus)

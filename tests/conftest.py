@@ -7,10 +7,11 @@ from permres.modular import prime_fields
 
 
 @pytest.fixture(autouse=True)
-def _fresh_grid_blocks():
-    """Each test builds its own ideal blocks: one left over from an earlier
-    test would hide the work (and the checks) of building them."""
-    oracle._grid_blocks.cache_clear()
+def _fresh_graded_quotient():
+    """Each test builds its own graded quotient: one left over from an
+    earlier test would hide the work (and the checks) of building its blocks
+    and pieces."""
+    oracle._graded_quotient.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -402,6 +402,19 @@ def test_unusable_cache_dir_exit_code(capsys, tmp_path, argv):
     assert "cache directory" in captured.err
 
 
+def test_blocked_cache_subdirectories_exit_code(capsys, tmp_path):
+    # the cache directory opens, but each two-hex-digit subdirectory a key
+    # can land in is a regular file, so the first cache read fails
+    for k in range(256):
+        (tmp_path / f"{k:02x}").write_text("")
+    code = main(["hilbert", "--family", "squarefree", "-n", "3", "-k", "2",
+                 "--t", "2", "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert captured.out == ""
+    assert "cache directory" in captured.err
+
+
 @pytest.mark.expensive
 def test_expensive_betti_cell(capsys, tmp_path):
     code, env = run_json(

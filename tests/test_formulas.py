@@ -127,15 +127,32 @@ def test_sqfree_quotient_stabilizes_to_polynomial():
 
 
 def test_sqfree_uncorrected_variants_disagree_where_documented():
-    # the alternative binomial forms fail exactly where the corrected ones
-    # match the enumeration oracle
+    # two alternative binomial forms of the square-free Hilbert functions,
+    # kept here only to pin where they disagree with the enumeration oracle
+    def comb0(a, b):
+        return comb(a, b) if 0 <= b <= a else 0
+
+    def uncorrected_ideal_hilbert(n, kappa, d):
+        # binomials C(n, kappa-j) instead of C(n, kappa+j)
+        return sum(comb0(n, kappa - j) * comb0(d - 1, kappa + j - 1)
+                   for j in range(0, n - kappa + 1))
+
+    def uncorrected_quotient_hilbert(n, kappa, d):
+        # the summation stops at n-kappa-2 instead of kappa-2
+        if d < n - kappa - 1:
+            return comb(n + d - 1, n - 1)
+        return sum(comb(n, j + 1) * comb(d - 1, j)
+                   for j in range(0, n - kappa - 1))
+
+    # the alternative forms fail exactly where the corrected ones match the
+    # enumeration oracle
     assert sqfree_ideal_hilbert(3, 2, 3) == 7
-    assert sqfree_ideal_hilbert(3, 2, 3, corrected=False) == 9
+    assert uncorrected_ideal_hilbert(3, 2, 3) == 9
     assert sqfree_quotient_hilbert(3, 2, 1) == 3
-    assert sqfree_quotient_hilbert(3, 2, 1, corrected=False) == 0
+    assert uncorrected_quotient_hilbert(3, 2, 1) == 0
     # and agree in the self-conjugate situation n = 2*kappa
     for d in range(1, 7):
-        assert sqfree_quotient_hilbert(4, 2, d, corrected=False) == \
+        assert uncorrected_quotient_hilbert(4, 2, d) == \
             sqfree_quotient_hilbert(4, 2, d)
 
 

@@ -100,10 +100,10 @@ def test_rank_known_values():
     assert rank_of_rows(rows, p) == 2
 
 
-def _rank_and_dense_finishes(rows, p, ncols=None):
+def _rank_and_dense_finishes(rows, p):
     """The kernel's rank, and how often it handed off to `_rank_dense`."""
     with mock.patch.object(modular, "_rank_dense", wraps=_rank_dense) as dense:
-        rank = rank_of_rows(rows, p, ncols)
+        rank = rank_of_rows(rows, p)
     return rank, dense.call_count
 
 
@@ -184,14 +184,13 @@ def test_rank_degenerate_inputs():
     # entries that are multiples of p are zeros
     assert rank_of_rows([{0: p, 3: -2 * p}, {1: 3 * p}], p) == 0
     assert rank_of_rows([{0: p, 1: 1}, {0: 1, 1: p + 1}, {2: p}], p) == 2
-    # a width beyond the largest column used changes nothing, also when
-    # the kernel hands off to the dense finish
+    # unused columns change nothing, also when the kernel hands off to the
+    # dense finish
     rng = random.Random(5)
     rows = [{c: rng.randrange(1, p) for c in rng.sample(range(150), 6)}
             for _ in range(260)]
     assert _rank_and_dense_finishes(rows, p)[1] == 1
     got = rank_of_rows(rows, p)
-    assert got == rank_of_rows(rows, p, ncols=10_000)
     assert got == _dense_rank_of_used_columns(rows, p)
 
 

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enumeration import count_monomials_with_support, naive_betti
-from permres import oracle
+from permres import cli, oracle
 from permres.ideals import FAMILIES, IdealSpec, expand_generators
-from permres.modular import rank_of_rows
+from permres.modular import prime_fields, rank_of_rows
 from permres.oracle import (
     _betti_block,
     _differential,
-    _GridBlocks,
     _GridQuotient,
     _graded_quotient,
     _span,
@@ -25,6 +24,7 @@ from permres.oracle import (
     quotient_basis,
 )
 from permres.tensorspace import (
+    DEFAULT_NNZ_CAP,
     ResourceCapError,
     TensorElement,
     monomial_count,
@@ -98,17 +98,16 @@ def test_grid_quotient_checks_generator_first_terms(monkeypatch):
     for bad in (gens + gens[:1], gens[1:] + [square]):
         monkeypatch.setattr(oracle, "expand_generators", lambda _: bad)
         with pytest.raises(RuntimeError):
-            _GridBlocks(spec)
+            _GridQuotient(spec)
 
 
-def test_blocks_built_once_per_ideal(field_pair, monkeypatch):
-    # a block's basis and integer rows do not depend on the prime: two
-    # primes computing one cell expand the generators once and enumerate
-    # each weight's basis once, while each prime still reduces every block
-    spec = IdealSpec("minors", 3, 2)
-    calls = {"mww": [], "expand": 0, "piece": []}
-    mww, expand, piece = (oracle.monomials_with_weight,
-                          oracle.expand_generators, _GridQuotient._piece)
+def test_blocks_built_once_per_ideal(capsys, monkeypatch):
+    # one graded quotient holds an ideal's state across cells, steps and
+    # commands: the generators are expanded once, each weight's basis is
+    # enumerated once, and each prime reduces each block once
+    calls = {"mww": [], "expand": 0, "rref": []}
+    mww, expand, rref = (oracle.monomials_with_weight,
+                         oracle.expand_generators, oracle.rref_of_rows)
 
     def counted_mww(n, wE, wF):
         calls["mww"].append((wE, wF))
@@ -118,18 +117,30 @@ def test_blocks_built_once_per_ideal(field_pair, monkeypatch):
         calls["expand"] += 1
         return expand(spec_)
 
-    def counted_piece(quot, b, w):
-        calls["piece"].append(w)
-        return piece(quot, b, w)
+    def counted_rref(rows, p):
+        calls["rref"].append((id(rows), p))
+        return rref(rows, p)
 
     monkeypatch.setattr(oracle, "monomials_with_weight", counted_mww)
     monkeypatch.setattr(oracle, "expand_generators", counted_expand)
-    monkeypatch.setattr(_GridQuotient, "_piece", counted_piece)
-    assert [betti_oracle(spec, 1, 3, f) for f in field_pair] == [16, 16]
-    weights = set(calls["piece"])
-    assert weights and len(calls["piece"]) == 2 * len(weights)
-    assert sorted(calls["mww"]) == sorted(weights)
+    monkeypatch.setattr(oracle, "rref_of_rows", counted_rref)
+    ideal = ["--family", "minors", "-n", "3", "-k", "2", "--mode", "oracle",
+             "--cache-dir", "none"]
+    assert cli.main(["betti", "--steps", "0..3", *ideal]) == 0
+    assert cli.main(["hilbert", "--t", "2..5", *ideal]) == 0
+    capsys.readouterr()
+    quot = _graded_quotient(IdealSpec("minors", 3, 2))
+    # the rows a call reduces are the block's own, so they name its weight
+    weight_of = {id(rows): w for w, (_, rows, _) in quot._blocks.items()}
+    reduced = [(weight_of[key], p) for key, p in calls["rref"]]
+    primes = {p for _, p in reduced}
+    assert len(primes) == 2
+    assert sorted(reduced) == sorted(itertools.product(quot._blocks, primes))
+    assert sorted(calls["mww"]) == sorted(quot._blocks)
     assert calls["expand"] == 1
+    # one ideal's state at a time
+    hilbert_oracle(IdealSpec("subpermanents", 3, 2), 2, prime_fields(0)[0])
+    assert _graded_quotient.cache_info().currsize == 1
 
 
 def test_cap_binds_a_shared_block(field):
@@ -234,6 +245,7 @@ def test_grid_blocks_transpose_symmetry(field):
     # x_ij -> x_ji preserves both matrix-family ideals and swaps row and
     # column weight, so a block and its transpose agree; the oracle counts
     # each off-diagonal dominant pair twice on the strength of this
+    p, cap = field.modulus, DEFAULT_NNZ_CAP
     for family in ("subpermanents", "minors"):
         nonzero = 0
         for n, kappa, cells in (
@@ -242,18 +254,18 @@ def test_grid_blocks_transpose_symmetry(field):
             (3, 3, ((0, 3), (1, 4))),
         ):
             spec = IdealSpec(family, n, kappa)
-            quot = _graded_quotient(spec, field)
+            quot = _graded_quotient(spec)
             for i, d in cells:
                 wedges = {r: _wedges(quot, r) for r in (i, i + 1, i + 2)}
                 for wE, wF in itertools.combinations(
                         dominant_weights(d, n), 2):
-                    h = _betti_block(quot, wedges, i, d, (wE, wF))
+                    h = _betti_block(quot, p, cap, wedges, i, (wE, wF))
                     assert h == _betti_block(
-                        quot, wedges, i, d, (wF, wE)
+                        quot, p, cap, wedges, i, (wF, wE)
                     ), (family, n, kappa, i, d, wE, wF)
                     nonzero += h != 0
-                    assert quot.ideal_rank(d, (wE, wF)) == \
-                        quot.ideal_rank(d, (wF, wE))
+                    assert len(quot.quotient((wE, wF), p, cap)[0]) == \
+                        len(quot.quotient((wF, wE), p, cap)[0])
         # the comparison is not vacuous: some off-diagonal block has homology
         assert nonzero, family
 
@@ -348,22 +360,21 @@ def test_betti_block_restricted_top_map(field):
     # the middle map's pivot rows, which is exact when the top map's image
     # lies in the middle map's kernel: check that precondition, and the
     # block against nullity minus the rank of the unrestricted top map
-    p = field.modulus
+    p, cap = field.modulus, DEFAULT_NNZ_CAP
     restricted = 0
     for family, n, i in itertools.product(FAMILIES, (1, 2, 3), (0, 1, 2)):
         for kappa in range(1, n + 1):
-            quot = _graded_quotient(IdealSpec(family, n, kappa), field)
+            quot = _graded_quotient(IdealSpec(family, n, kappa))
             wedges = {r: _wedges(quot, r) for r in (i, i + 1, i + 2)}
             blocks = [(d, w) for d in (kappa + i, kappa + i + 1)
                       for w, _ in quot.weights(d, use_symmetry=True)]
             for d, w in blocks:
-                bottom, bottom_reduce = _span(quot, wedges[i], d - i, w)
-                middle, middle_reduce = _span(quot, wedges[i + 1], d - i - 1,
-                                              w)
-                top, _ = _span(quot, wedges[i + 2], d - i - 2, w)
-                mid = _differential(quot, middle, bottom_reduce,
+                bottom, bottom_reduce = _span(quot, p, cap, wedges[i], w)
+                middle, middle_reduce = _span(quot, p, cap, wedges[i + 1], w)
+                top, _ = _span(quot, p, cap, wedges[i + 2], w)
+                mid = _differential(p, cap, middle, bottom_reduce,
                                     {x: j for j, x in enumerate(bottom)})
-                top_rows = _differential(quot, top, middle_reduce,
+                top_rows = _differential(p, cap, top, middle_reduce,
                                          {x: j for j, x in enumerate(middle)})
                 where = (family, n, kappa, i, d, w)
                 for row in top_rows:
@@ -374,7 +385,7 @@ def test_betti_block_restricted_top_map(field):
                     assert not any(image.values()), where
                 nullity = len(middle) - rank_of_rows(mid, p)
                 rank_top = rank_of_rows(top_rows, p)
-                assert _betti_block(quot, wedges, i, d, w) == \
+                assert _betti_block(quot, p, cap, wedges, i, w) == \
                     nullity - rank_top, where
                 restricted += bool(nullity and rank_top)
     # the restriction is exercised, not only the early returns
@@ -385,21 +396,20 @@ def test_chain_groups_match_quotient_dims(field):
     # summed over the (weight, multiplicity) list of a degree, the window's
     # blocks of Lambda^r (x) (S/I)_b make up the whole chain group, of
     # dimension C(N, r) * dim (S/I)_b
+    p, cap = field.modulus, DEFAULT_NNZ_CAP
     for family in FAMILIES:
         for n in (2, 3):
             for kappa in range(1, n + 1):
                 spec = IdealSpec(family, n, kappa)
-                quot = _graded_quotient(spec, field)
+                quot = _graded_quotient(spec)
                 for r in (1, 2, 3):
                     wedges = _wedges(quot, r)
                     for b in (kappa - 1, kappa, kappa + 1):
                         _, qdim = quotient_basis(spec, b, field)
                         want = comb(spec.nvars, r) * qdim
                         for use_symmetry in (True, False):
-                            got = sum(
-                                len(_span(quot, wedges, b, w)[0]) * size
-                                for w, size in quot.weights(r + b,
-                                                            use_symmetry)
-                            )
+                            weights = quot.weights(r + b, use_symmetry)
+                            got = sum(len(_span(quot, p, cap, wedges, w)[0])
+                                      * size for w, size in weights)
                             assert got == want, (family, n, kappa, r, b,
                                                  use_symmetry)
