@@ -3,12 +3,12 @@ oracle values, a persistent result cache, and verification suites.
 
 Exit codes: 0 success, 2 formula/oracle mismatch, failed verification,
 failed cache audit or three disagreeing primes, 3 resource cap exceeded,
-4 invalid parameters, among them a negative step or degree, which is
-rejected before any cell runs, and a cache directory that cannot be opened,
-read or written (a message on stderr, nothing on stdout).  A failure with
-exit 2 or 3 that leaves no results prints an `error` object (its type and
-message) next to the empty results; with --csv that is one row with `error`
-and `message` columns.
+4 invalid parameters, among them a negative step, degree or
+--cap-nonzeros, which is rejected before any cell runs, and a cache
+directory that cannot be opened, read or written (a message on stderr,
+nothing on stdout).  A failure with exit 2 or 3 that leaves no results
+prints an `error` object (its type and message) next to the empty results;
+with --csv that is one row with `error` and `message` columns.
 """
 
 import argparse
@@ -120,11 +120,14 @@ def _cells(args, cache_, kind, cells, formula, oracle):
     formula(family, n, kappa, *keys), the oracle value
     oracle(spec, *keys, field, cap=cap) agreed over two primes with each
     prime's value cached under the cell's keys, and whether the two match.
-    A negative key is rejected before any cell runs."""
+    A negative key or cap is rejected before any cell runs."""
     for cell in cells:
         for key, value in cell.items():
             if value < 0:
                 raise ValueError(f"{key} must be nonnegative, got {value}")
+    if args.cap_nonzeros < 0:
+        raise ValueError(
+            f"--cap-nonzeros must be nonnegative, got {args.cap_nonzeros}")
     spec = IdealSpec(_family(args.family), args.n, args.kappa)
     cap = None if args.expensive else args.cap_nonzeros
     results = []

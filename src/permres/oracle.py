@@ -22,19 +22,25 @@ form of those rows gives the piece.
 
 There is one graded quotient per ideal (`_graded_quotient(spec)`, which
 keeps the last ideal's), and it holds all of that ideal's state.  The
-block's monomials and integer rows do not depend on the prime, so they are
-built once; the reduced pieces sit in one memo keyed by (weight, prime), so
-each prime reduces each block once per ideal, not once per cell or step.
-The prime and the cap are arguments of each use, and the cap is checked on
-every use.
+reduced pieces sit in one memo keyed by (weight, prime), so every use of a
+weight sees one basis, and the prime and the cap are arguments of each use;
+the cap is checked on every use.
 
 Permuting rows and columns (or variables) preserves the ideals, so block
 dimensions only depend on the sorted weight; the transpose x_ij -> x_ji
 preserves the matrix-family ideals and swaps row and column weight.  By
 default (`use_symmetry=True`) each orbit is computed once, at its dominant
 weight (for the matrix families the pair with wF <= wE), and scaled by its
-size; `use_symmetry=False` visits every weight and is the unreduced
-reference.
+size; `use_symmetry=False` visits every weight.  The same symmetries carry
+one block's piece onto every block of its orbit, and the Koszul windows use
+weights from every orbit position, so a matrix-family ideal eliminates one
+block per orbit: the representative's monomials and integer rows are built
+once, each prime reduces them once, and every other weight of the orbit
+relabels the representative's monomials once and reads its piece off the
+representative's echelon form by position.  So `use_symmetry=False` is not
+an independent reference for the pieces; `multiply_map_rank` (in the
+tests, against `hilbert_oracle`) and a check of each transported piece
+against its block's own spanning rows are.
 
 A block's Koszul window only involves wedges (subsets of the variables)
 whose weight fits under the block's.  The wedges are indexed by the outer
@@ -115,11 +121,17 @@ def _nonneg(w):
 
 class _GridQuotient:
     """S/I for a matrix-family ideal, split into blocks by weight w, a pair
-    (row weight, column weight).  It owns the table of generator first
-    terms, the prime-free blocks (each weight's monomials, the integer rows
-    spanning the ideal's block and their nonzeros), and one memo of each
-    block's piece reduced mod p, keyed by (w, p).  So every cell and step
-    of an ideal shares the blocks, and each prime reduces each block once."""
+    (row weight, column weight).  Permuting rows, permuting columns and
+    transposing map the ideal onto itself and the block of a weight onto
+    the block of the permuted weight, so one block per orbit is eliminated:
+    the block of the orbit's representative, the dominant pair `weights`
+    yields.  It owns the table of generator first terms, the prime-free
+    representative blocks (monomials, the integer rows spanning the ideal's
+    block and their nonzeros), each representative's echelon form mod p read
+    by position, each weight's monomials relabelled from its
+    representative's, and one memo of each weight's piece, keyed by (w, p).
+    So every cell and step of an ideal shares the blocks, and each prime
+    reduces each orbit once."""
 
     @staticmethod
     def wedge_weight(n, T):
@@ -143,8 +155,10 @@ class _GridQuotient:
                     f"generator first term {lead} is not {self.kappa} "
                     "distinct variables of its own")
             self.terms_by_lead[key] = g.terms
-        self._blocks = {}
-        self._pieces = {}
+        self._blocks = {}     # representative -> (monomials, rows, nonzeros)
+        self._orbit = {}      # w -> (representative, relabelled monomials)
+        self._echelons = {}   # (representative, p) -> (free, coefficients)
+        self._pieces = {}     # (w, p) -> (quotient basis, reduction map)
 
     def weights(self, total, use_symmetry):
         """One pair per orbit under permuting rows, permuting columns and
@@ -164,28 +178,64 @@ class _GridQuotient:
     def quotient(self, w, p, cap):
         """(quotient basis monomials, reduction map) of the weight-w block
         mod p; the reduction map rewrites every monomial of the block as a
-        combination of basis monomials mod I.  The basis is the complement
-        of the pivot monomials of the fully reduced echelon form of the
-        ideal's block.  The cap is checked on every use, since callers
-        sharing a block may pass different caps; `rref_of_rows` reduces into
-        fresh rows, so the shared integer rows stay as built."""
-        if w not in self._blocks:
-            monos = monomials_with_weight(self.n, w[0], w[1])
-            self._blocks[w] = (monos, *self._spanning_rows(monos))
-        monos, rows, nnz = self._blocks[w]
-        check_cap(nnz, cap, "ideal block nonzeros")
+        combination of basis monomials mod I, as {basis position: nonzero
+        coefficient}.  The basis is the representative's complement of the
+        pivot monomials of the fully reduced echelon form of the ideal's
+        block, relabelled onto w.  The cap is checked on every use, since
+        callers sharing a block may pass different caps; a relabelling keeps
+        the block's nonzeros, and `rref_of_rows` reduces into fresh rows, so
+        the shared integer rows stay as built."""
+        if w not in self._orbit:
+            self._orbit[w] = self._relabel(w)
+        rep, monos = self._orbit[w]
+        check_cap(self._blocks[rep][2], cap, "ideal block nonzeros")
         if (w, p) not in self._pieces:
-            pivots = rref_of_rows(rows, p)
-            qbasis = [m for i, m in enumerate(monos) if i not in pivots]
-            reduce_map = {}
-            for i, m in enumerate(monos):
-                if i not in pivots:
-                    reduce_map[m] = {m: 1}
-                else:
-                    reduce_map[m] = {monos[c]: -v % p
-                                     for c, v in pivots[i].items() if c != i}
-            self._pieces[w, p] = qbasis, reduce_map
+            if (rep, p) not in self._echelons:
+                self._echelons[rep, p] = self._echelon(rep, p)
+            free, coeffs = self._echelons[rep, p]
+            self._pieces[w, p] = ([monos[i] for i in free],
+                                  dict(zip(monos, coeffs)))
         return self._pieces[w, p]
+
+    def _relabel(self, w):
+        """(representative, block monomials) of weight w: the sorted row and
+        column weights, swapped when the column part is larger, and the
+        representative's monomials carried onto w's variables, in the
+        representative's order.  Its variable (r, c) is (rows[r], cols[c])
+        of w, or (rows[c], cols[r]) when transposed, where rows and cols
+        sort w's rows and columns by decreasing weight."""
+        n = self.n
+        wE, wF = w
+        rows = sorted(range(n), key=lambda r: -wE[r])
+        cols = sorted(range(n), key=lambda c: -wF[c])
+        rep = tuple(wE[r] for r in rows), tuple(wF[c] for c in cols)
+        if rep[1] > rep[0]:
+            rep = rep[::-1]
+            image = [rows[c] * n + cols[r] for r in range(n) for c in range(n)]
+        else:
+            image = [rows[r] * n + cols[c] for r in range(n) for c in range(n)]
+        if rep not in self._blocks:
+            monos = monomials_with_weight(n, *rep)
+            self._blocks[rep] = (monos, *self._spanning_rows(monos))
+        monos = self._blocks[rep][0]
+        if rep != w:
+            monos = [tuple(sorted((image[v], e) for v, e in m))
+                     for m in monos]
+        return rep, monos
+
+    def _echelon(self, rep, p):
+        """The representative block's piece mod p by position: the positions
+        of its quotient basis, the non-pivot monomials of the fully reduced
+        echelon form, and for each monomial its {basis position:
+        coefficient} rewriting mod I."""
+        monos, rows, _ = self._blocks[rep]
+        pivots = rref_of_rows(rows, p)
+        free = [i for i in range(len(monos)) if i not in pivots]
+        position = {i: k for k, i in enumerate(free)}
+        coeffs = [{position[c]: -v % p for c, v in pivots[i].items()
+                   if c != i} if i in pivots else {position[i]: 1}
+                  for i in range(len(monos))]
+        return free, coeffs
 
     def _spanning_rows(self, monos):
         """The products g * (M / t) for each block monomial M and generator
@@ -243,7 +293,7 @@ class _SquarefreeQuotient:
     def quotient(self, w, p, cap):
         mono = tuple((v, e) for v, e in enumerate(w[0]) if e)
         if len(mono) < self.kappa:
-            return [mono], {mono: {mono: 1}}
+            return [mono], {mono: {0: 1}}
         return [], {mono: {}}
 
 
@@ -296,12 +346,14 @@ def _wedges(quot, r):
 
 
 def _span(quot, p, cap, wedges, w):
-    """Basis [(wedge, quotient monomial)] of the weight-w block of
-    Lambda^r (x) S/I, for the `_WedgeIndex` of r-subsets, and the reduction
-    map mod p of each wedge's quotient piece, for the wedges that have one.
-    The pieces have degree |w| - r; below r no wedge fits under w."""
-    items = []
-    reduce_of = {}
+    """Layout of the weight-w block of Lambda^r (x) S/I, for the
+    `_WedgeIndex` of r-subsets: its dimension and {wedge: (offset, quotient
+    basis, reduction map)} for the wedges whose quotient piece is nonzero.
+    The basis vector (T, u) sits at T's offset plus u's position in the
+    piece, in the order of the wedges.  The pieces have degree |w| - r;
+    below r no wedge fits under w."""
+    layout = {}
+    dim = 0
     for tE, by_inner in wedges.fitting(w[0]):
         mE = _sub(w[0], tE)
         for tF, group in by_inner.items():
@@ -310,30 +362,41 @@ def _span(quot, p, cap, wedges, w):
                 continue
             qbasis, reduce_map = quot.quotient((mE, mF), p, cap)
             if qbasis:
-                items.extend((T, u) for T in group for u in qbasis)
-                reduce_of.update(dict.fromkeys(group, reduce_map))
-    return items, reduce_of
+                for T in group:
+                    layout[T] = (dim, qbasis, reduce_map)
+                    dim += len(qbasis)
+    return dim, layout
 
 
-def _differential(p, cap, source, reduce_of, target_index):
-    """Rows mod p of the Koszul differential on the window basis `source`,
-    over the positions of `target_index`: (T, u) goes to the sum over a of
-    (-1)^a (T minus T[a], u x_T[a]), and u x_v lies in the quotient piece
-    paired with T minus v, so it reduces by the map `reduce_of` records for
-    that wedge (no map: that piece is zero).  `cap` bounds the nonzeros."""
+def _differential(p, cap, source, target, columns):
+    """Rows mod p of the Koszul differential from the window layout `source`
+    to `target`, one per source basis vector in layout order: (T, u) goes
+    to the sum over a of (-1)^a (T minus T[a], u x_T[a]), and u x_v lies in
+    the quotient piece paired with T minus v, so it reduces by that piece's
+    map straight onto the positions after T minus v's offset (no layout
+    entry: that piece is zero).  Distinct v give distinct wedges and the
+    map's coefficients are nonzero mod p, so each entry is written once and
+    none is zero.  Target position j becomes column `columns[j]`, or is
+    dropped where that is None; `cap` bounds the nonzeros of the full map."""
     rows = []
-    for T, u in source:
-        col = {}
+    nnz = 0
+    for T, (_, qbasis, _) in source.items():
+        faces = []
         for a, v in enumerate(T):
-            T2 = T[:a] + T[a + 1:]
-            reduce_map = reduce_of.get(T2)
-            if reduce_map is None:
-                continue
-            for m2, c2 in reduce_map[mono_times_var(u, v)].items():
-                j = target_index[(T2, m2)]
-                col[j] = (col.get(j, 0) + (-1) ** a * c2) % p
-        rows.append({k: v for k, v in col.items() if v})
-    check_cap(sum(map(len, rows)), cap, "Koszul window nonzeros")
+            face = target.get(T[:a] + T[a + 1:])
+            if face is not None:
+                faces.append((v, a % 2, face[0], face[2]))
+        for u in qbasis:
+            row = {}
+            for v, odd, offset, reduce_map in faces:
+                coeffs = reduce_map[mono_times_var(u, v)]
+                nnz += len(coeffs)
+                for j, c in coeffs.items():
+                    k = columns[offset + j]
+                    if k is not None:
+                        row[k] = p - c if odd else c
+            rows.append(row)
+    check_cap(nnz, cap, "Koszul window nonzeros")
     return rows
 
 
@@ -344,32 +407,31 @@ def _betti_block(quot, p, cap, wedges, i, w):
 
     The middle map is ranked first, and its nullity bounds the homology: at
     0 the block is done.  Otherwise the top map is ranked on the middle
-    coordinates that are not pivot rows R of the middle map.  Nothing is
-    lost: the top map's image lies in the middle map's kernel, and the
-    kernel meets the span of the R coordinates only in 0, since the rows in
-    R map to independent vectors.  So dropping those coordinates is
-    one-to-one on the image, over every prime, and the restricted top map
-    has only nullity columns.  The cap bounds each full differential."""
-    middle, middle_reduce = _span(quot, p, cap, wedges[i + 1], w)
-    if not middle:
+    coordinates that are not pivot rows R of the middle map, and assembled
+    straight onto them.  Nothing is lost: the top map's image lies in the
+    middle map's kernel, and the kernel meets the span of the R coordinates
+    only in 0, since the rows in R map to independent vectors.  So dropping
+    those coordinates is one-to-one on the image, over every prime, and the
+    restricted top map has only nullity columns.  The cap bounds each full
+    differential."""
+    middle_dim, middle = _span(quot, p, cap, wedges[i + 1], w)
+    if not middle_dim:
         return 0
-    bottom, bottom_reduce = _span(quot, p, cap, wedges[i], w)
-    bottom_index = {x: j for j, x in enumerate(bottom)}
+    bottom_dim, bottom = _span(quot, p, cap, wedges[i], w)
     pivots = []
-    nullity = len(middle) - rank_of_rows(
-        _differential(p, cap, middle, bottom_reduce, bottom_index), p,
+    nullity = middle_dim - rank_of_rows(
+        _differential(p, cap, middle, bottom, range(bottom_dim)), p,
         pivot_rows=pivots)
     if not nullity:
         return 0
-    top, _ = _span(quot, p, cap, wedges[i + 2], w)
-    if not top:
+    top_dim, top = _span(quot, p, cap, wedges[i + 2], w)
+    if not top_dim:
         return nullity
-    middle_index = {x: j for j, x in enumerate(middle)}
-    free = {j: k for k, j in
-            enumerate(sorted(set(range(len(middle))) - set(pivots)))}
-    rows = [{free[j]: v for j, v in row.items() if j in free}
-            for row in _differential(p, cap, top, middle_reduce, middle_index)]
-    return nullity - rank_of_rows(rows, p)
+    pivots = set(pivots)
+    free = itertools.count()
+    columns = [None if j in pivots else next(free) for j in range(middle_dim)]
+    return nullity - rank_of_rows(
+        _differential(p, cap, top, middle, columns), p)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +449,9 @@ def hilbert_oracle(spec, t, field_, *, use_symmetry=True,
     it.  Returns 0 for t below the generator degree.  `use_symmetry` sums
     over the orbits of weights under permuting rows and columns (or
     variables) and, for the matrix families, the transpose; False sums
-    every weight."""
+    every weight, but its matrix-family pieces are still transported from
+    each orbit's representative, so it checks the orbit sizes, not the
+    pieces."""
     if t < spec.kappa:
         return 0
     quot = _graded_quotient(spec)
@@ -399,8 +463,11 @@ def hilbert_oracle(spec, t, field_, *, use_symmetry=True,
 
 
 def quotient_basis(spec, t, field_, cap=DEFAULT_NNZ_CAP):
-    """Monomials spanning (S/I)_t (complement of the pivot monomials under
-    the canonical order), together with the dimension."""
+    """Monomials spanning (S/I)_t, together with the dimension.  In each
+    weight block they are the block's quotient basis: for the matrix
+    families the orbit representative's complement of its pivot monomials
+    under the canonical order, relabelled onto the block, not the canonical
+    complement at every weight."""
     quot = _graded_quotient(spec)
     keep = set()
     for w, _ in quot.weights(t, use_symmetry=False):
@@ -418,8 +485,9 @@ def betti_oracle(spec, i, d, field_, *, use_symmetry=True,
     first.  `use_symmetry` computes one block per orbit of weights (per
     orbit of weight pairs under row and column permutations and the
     transpose for the matrix families) and scales it by the orbit size;
-    False computes every block.  `cap` bounds the nonzeros of each ideal
-    block and of each differential."""
+    False computes every block, on pieces still transported from each
+    orbit's representative.  `cap` bounds the nonzeros of each ideal block
+    and of each differential."""
     if i < 0:
         raise ValueError("step must be nonnegative")
     quot = _graded_quotient(spec)

@@ -282,6 +282,18 @@ def test_negative_degree_rejected(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_negative_cap_rejected(capsys):
+    # a negative cap would fail every cell as a resource cap; it is an
+    # invalid parameter, rejected before any cell runs, in every mode
+    for command, cell in (("hilbert", "--t=2"), ("betti", "--steps=0")):
+        for mode in ("formula", "oracle", "both"):
+            code = main([command, "--family", "subpermanents", "-n", "3",
+                         "-k", "2", cell, "--mode", mode,
+                         "--cap-nonzeros=-5", "--cache-dir", "none"])
+            assert code == EXIT_INVALID, (command, mode)
+    assert capsys.readouterr().out == ""
+
+
 def test_resource_cap_exit_code(capsys, tmp_path):
     code, env = run_json(
         capsys, "hilbert", "--family", "subpermanents", "-n", "4", "-k", "2",

@@ -28,6 +28,7 @@ from permres.tensorspace import (
     ResourceCapError,
     TensorElement,
     monomial_count,
+    monomials_with_weight,
     multiply_map_rank,
 )
 
@@ -103,8 +104,9 @@ def test_grid_quotient_checks_generator_first_terms(monkeypatch):
 
 def test_blocks_built_once_per_ideal(capsys, monkeypatch):
     # one graded quotient holds an ideal's state across cells, steps and
-    # commands: the generators are expanded once, each weight's basis is
-    # enumerated once, and each prime reduces each block once
+    # commands: the generators are expanded once, each orbit
+    # representative's basis is enumerated once, and each prime reduces
+    # each representative's block once; every other weight is relabelled
     calls = {"mww": [], "expand": 0, "rref": []}
     mww, expand, rref = (oracle.monomials_with_weight,
                          oracle.expand_generators, oracle.rref_of_rows)
@@ -138,9 +140,54 @@ def test_blocks_built_once_per_ideal(capsys, monkeypatch):
     assert sorted(reduced) == sorted(itertools.product(quot._blocks, primes))
     assert sorted(calls["mww"]) == sorted(quot._blocks)
     assert calls["expand"] == 1
+    # the blocks are exactly the representatives of the weights used, and
+    # the windows use weights off them, so some pieces are transported
+    assert set(quot._blocks) == {rep for rep, _ in quot._orbit.values()}
+    assert all(quot._orbit[rep][0] == rep for rep in quot._blocks)
+    assert len(quot._orbit) > len(quot._blocks)
     # one ideal's state at a time
     hilbert_oracle(IdealSpec("subpermanents", 3, 2), 2, prime_fields(0)[0])
     assert _graded_quotient.cache_info().currsize == 1
+
+
+def test_transported_pieces_are_quotient_pieces(field):
+    # every block's piece is its orbit representative's, relabelled; check
+    # it against the block's own spanning rows, built at the block's weight
+    # without any relabelling: each rewriting u - sum c * b of the
+    # reduction map lies in the ideal's block (adding them all keeps the
+    # rank), and the basis is a complement (it raises the rank by its size)
+    p, cap = field.modulus, DEFAULT_NNZ_CAP
+    transposed = 0
+    for family in ("subpermanents", "minors"):
+        for n in (1, 2, 3):
+            for kappa in range(1, n + 1):
+                quot = _graded_quotient(IdealSpec(family, n, kappa))
+                for t in range(kappa + 3):
+                    for w in itertools.product(compositions(t, n), repeat=2):
+                        monos = monomials_with_weight(n, *w)
+                        index = {m: j for j, m in enumerate(monos)}
+                        rows, _ = quot._spanning_rows(monos)
+                        qbasis, reduce_map = quot.quotient(w, p, cap)
+                        where = (family, n, kappa, w)
+                        assert sorted(reduce_map) == sorted(monos), where
+                        relations = []
+                        for u, coeffs in reduce_map.items():
+                            rel = {index[u]: 1}
+                            for k, c in coeffs.items():
+                                j = index[qbasis[k]]
+                                rel[j] = (rel.get(j, 0) - c) % p
+                            relations.append(rel)
+                        rank = rank_of_rows(rows, p)
+                        assert rank_of_rows(rows + relations, p) == rank, \
+                            where
+                        units = [{index[b]: 1} for b in qbasis]
+                        assert rank_of_rows(rows + units, p) == \
+                            rank + len(qbasis) == len(monos), where
+                        dominant = [tuple(sorted(x, reverse=True)) for x in w]
+                        transposed += bool(qbasis and
+                                           dominant[1] > dominant[0])
+    # the transpose branch of the relabelling is exercised
+    assert transposed > 100, transposed
 
 
 def test_cap_binds_a_shared_block(field):
@@ -369,13 +416,12 @@ def test_betti_block_restricted_top_map(field):
             blocks = [(d, w) for d in (kappa + i, kappa + i + 1)
                       for w, _ in quot.weights(d, use_symmetry=True)]
             for d, w in blocks:
-                bottom, bottom_reduce = _span(quot, p, cap, wedges[i], w)
-                middle, middle_reduce = _span(quot, p, cap, wedges[i + 1], w)
-                top, _ = _span(quot, p, cap, wedges[i + 2], w)
-                mid = _differential(p, cap, middle, bottom_reduce,
-                                    {x: j for j, x in enumerate(bottom)})
-                top_rows = _differential(p, cap, top, middle_reduce,
-                                         {x: j for j, x in enumerate(middle)})
+                bottom_dim, bottom = _span(quot, p, cap, wedges[i], w)
+                middle_dim, middle = _span(quot, p, cap, wedges[i + 1], w)
+                _, top = _span(quot, p, cap, wedges[i + 2], w)
+                mid = _differential(p, cap, middle, bottom, range(bottom_dim))
+                top_rows = _differential(p, cap, top, middle,
+                                         range(middle_dim))
                 where = (family, n, kappa, i, d, w)
                 for row in top_rows:
                     image = {}
@@ -383,7 +429,7 @@ def test_betti_block_restricted_top_map(field):
                         for k, c in mid[j].items():
                             image[k] = (image.get(k, 0) + v * c) % p
                     assert not any(image.values()), where
-                nullity = len(middle) - rank_of_rows(mid, p)
+                nullity = middle_dim - rank_of_rows(mid, p)
                 rank_top = rank_of_rows(top_rows, p)
                 assert _betti_block(quot, p, cap, wedges, i, w) == \
                     nullity - rank_top, where
@@ -409,7 +455,7 @@ def test_chain_groups_match_quotient_dims(field):
                         want = comb(spec.nvars, r) * qdim
                         for use_symmetry in (True, False):
                             weights = quot.weights(r + b, use_symmetry)
-                            got = sum(len(_span(quot, p, cap, wedges, w)[0])
+                            got = sum(_span(quot, p, cap, wedges, w)[0]
                                       * size for w, size in weights)
                             assert got == want, (family, n, kappa, r, b,
                                                  use_symmetry)
