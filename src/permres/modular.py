@@ -78,14 +78,9 @@ class PrimeField:
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
 
-    def inv(self, a):
-        return pow(a % self.modulus, self.modulus - 2, self.modulus)
-
 
 def random_prime_field(rng):
-    """Draw a uniform random 31-bit prime field from an rng or integer seed."""
-    if isinstance(rng, int):
-        rng = random.Random(rng)
+    """Draw a uniform random 31-bit prime field from an rng."""
     while True:
         candidate = rng.randrange(PRIME_LOW + 1, PRIME_HIGH) | 1
         if is_prime(candidate):

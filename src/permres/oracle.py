@@ -11,8 +11,9 @@ splits into independent blocks indexed by weights: (row weight, column
 weight) for the two-sided torus on the n x n grid of the matrix families,
 and the multidegree, the case of the diagonal torus of the n variables, for
 the square-free family.  A family enters only through its graded quotient:
-how variables add to a weight, the weights of a degree with their orbit
-multiplicities, and the block's quotient basis with a reduction map mod p
+the weight of a monomial (`weight(n, m)`, the one place that decides which
+block a monomial or a wedge lies in), the weights of a degree with their
+orbit multiplicities, and the block's quotient basis with a reduction map mod p
 (`quotient(w, p, cap)`; a block's degree |w| is the sum of w[0]).  The
 ideal's dimension in a block is read off that piece: the block's monomials
 minus its quotient basis.  For the matrix families the ideal's block is
@@ -28,19 +29,19 @@ the cap is checked on every use.
 
 Permuting rows and columns (or variables) preserves the ideals, so block
 dimensions only depend on the sorted weight; the transpose x_ij -> x_ji
-preserves the matrix-family ideals and swaps row and column weight.  By
-default (`use_symmetry=True`) each orbit is computed once, at its dominant
-weight (for the matrix families the pair with wF <= wE), and scaled by its
-size; `use_symmetry=False` visits every weight.  The same symmetries carry
-one block's piece onto every block of its orbit, and the Koszul windows use
-weights from every orbit position, so a matrix-family ideal eliminates one
-block per orbit: the representative's monomials and integer rows are built
-once, each prime reduces them once, and every other weight of the orbit
-relabels the representative's monomials once and reads its piece off the
-representative's echelon form by position.  So `use_symmetry=False` is not
-an independent reference for the pieces; `multiply_map_rank` (in the
-tests, against `hilbert_oracle`) and a check of each transported piece
-against its block's own spanning rows are.
+preserves the matrix-family ideals and swaps row and column weight.  So the
+oracles visit one weight per orbit, its dominant weight (for the matrix
+families the pair with wF <= wE), and scale its block by the orbit size.
+The same symmetries carry one block's piece onto every block of its orbit,
+and the Koszul windows use weights from every orbit position, so a
+matrix-family ideal eliminates one block per orbit: the representative's
+monomials and integer rows are built once, each prime reduces them once,
+and every other weight of the orbit relabels the representative's
+monomials once and reads its piece off the representative's echelon form
+by position.  The independent references are outside this module:
+`multiply_map_rank` for the Hilbert function, the whole-space Koszul
+homology of the tests for the Betti numbers, and a check of each
+transported piece against its block's own spanning rows.
 
 A block's Koszul window only involves wedges (subsets of the variables)
 whose weight fits under the block's.  The wedges are indexed by the outer
@@ -81,19 +82,8 @@ from .tensorspace import (
 # weight bookkeeping
 
 
-def compositions(total, parts):
-    """All length-`parts` tuples of nonnegative integers summing to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total, -1, -1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def dominant_weights(total, parts):
-    """Weakly decreasing compositions: partitions padded to fixed length,
+    """Weakly decreasing weights: partitions padded to fixed length,
     in lexicographically decreasing order."""
     for lam in partitions(total, max_length=parts):
         yield lam + (0,) * (parts - len(lam))
@@ -134,10 +124,10 @@ class _GridQuotient:
     reduces each orbit once."""
 
     @staticmethod
-    def wedge_weight(n, T):
-        """(row weight, column weight) of grid variables: v adds one to row
-        v // n and to column v % n."""
-        return mono_weight(tuple((v, 1) for v in T), n)
+    def weight(n, m):
+        """(row weight, column weight) of a grid monomial: x_v adds one to
+        row v // n and to column v % n."""
+        return mono_weight(m, n)
 
     def __init__(self, spec):
         self.n = spec.n
@@ -160,15 +150,10 @@ class _GridQuotient:
         self._echelons = {}   # (representative, p) -> (free, coefficients)
         self._pieces = {}     # (w, p) -> (quotient basis, reduction map)
 
-    def weights(self, total, use_symmetry):
+    def weights(self, total):
         """One pair per orbit under permuting rows, permuting columns and
         transposing (the dominant pairs with wF <= wE, since transposing
-        swaps the two), or every pair once."""
-        if not use_symmetry:
-            for wE in compositions(total, self.n):
-                for wF in compositions(total, self.n):
-                    yield (wE, wF), 1
-            return
+        swaps the two), with the orbit's size."""
         # dominant_weights yields in decreasing order, so each pair has wF <= wE
         dominant = list(dominant_weights(total, self.n))
         for wE, wF in itertools.combinations_with_replacement(dominant, 2):
@@ -268,11 +253,11 @@ class _SquarefreeQuotient:
     is the identity or zero, over every prime and with no matrix to cap."""
 
     @staticmethod
-    def wedge_weight(n, T):
-        """(multidegree, ()) of variables: v adds one to coordinate v."""
+    def weight(n, m):
+        """(multidegree, ()) of a monomial: x_v adds one to coordinate v."""
         w = [0] * n
-        for v in T:
-            w[v] += 1
+        for v, e in m:
+            w[v] += e
         return tuple(w), ()
 
     def __init__(self, spec):
@@ -280,15 +265,11 @@ class _SquarefreeQuotient:
         self.nvars = spec.nvars
         self.kappa = spec.kappa
 
-    def weights(self, total, use_symmetry):
-        """One multidegree per orbit under permuting the variables, or every
-        multidegree once."""
-        if use_symmetry:
-            for w in dominant_weights(total, self.n):
-                yield (w, ()), orbit_size(w)
-        else:
-            for w in compositions(total, self.n):
-                yield (w, ()), 1
+    def weights(self, total):
+        """One multidegree per orbit under permuting the variables, with the
+        orbit's size."""
+        for w in dominant_weights(total, self.n):
+            yield (w, ()), orbit_size(w)
 
     def quotient(self, w, p, cap):
         mono = tuple((v, e) for v, e in enumerate(w[0]) if e)
@@ -317,11 +298,11 @@ class _WedgeIndex:
     at most r, so the groups that fit under a block depend only on its outer
     weight clipped at r; they are found once per clipped weight."""
 
-    def __init__(self, wedge_weight, n, nvars, r):
+    def __init__(self, weight, n, nvars, r):
         self.r = r
         self.groups = {}
         for T in itertools.combinations(range(nvars), r):
-            outer, inner = wedge_weight(n, T)
+            outer, inner = weight(n, tuple((v, 1) for v in T))
             self.groups.setdefault(outer, {}).setdefault(inner, []).append(T)
         self._fitting = {}
 
@@ -337,12 +318,12 @@ class _WedgeIndex:
 
 
 # the index depends only on how variables add to a weight, so one per
-# (wedge_weight, n, nvars, r) serves every ideal, prime and call
+# (weight, n, nvars, r) serves every ideal, prime and call
 _wedge_index = functools.cache(_WedgeIndex)
 
 
 def _wedges(quot, r):
-    return _wedge_index(quot.wedge_weight, quot.n, quot.nvars, r)
+    return _wedge_index(quot.weight, quot.n, quot.nvars, r)
 
 
 def _span(quot, p, cap, wedges, w):
@@ -438,62 +419,58 @@ def _betti_block(quot, p, cap, wedges, i, w):
 # public oracles
 
 
-def hilbert_oracle(spec, t, field_, *, use_symmetry=True,
-                   cap=DEFAULT_NNZ_CAP):
+def hilbert_oracle(spec, t, field_, *, cap=DEFAULT_NNZ_CAP):
     """dim I_t computed by brute force, as the sum over weights of the
     ideal's block dimensions, each read off the block's quotient piece: the
     block's monomials outside the quotient basis, which for the matrix
     families are the pivots of the echelon form of {generator * monomial}
     in that weight, and 0 or 1 per multidegree for the square-free family.
-    The square-free oracle builds no degree-t basis, so `cap` does not bound
-    it.  Returns 0 for t below the generator degree.  `use_symmetry` sums
-    over the orbits of weights under permuting rows and columns (or
-    variables) and, for the matrix families, the transpose; False sums
-    every weight, but its matrix-family pieces are still transported from
-    each orbit's representative, so it checks the orbit sizes, not the
-    pieces."""
+    One weight per orbit is visited and scaled by the orbit's size.  The
+    square-free oracle builds no degree-t basis, so `cap` does not bound
+    it.  Returns 0 for t below the generator degree."""
     if t < spec.kappa:
         return 0
     quot = _graded_quotient(spec)
     total = 0
-    for w, size in quot.weights(t, use_symmetry):
+    for w, size in quot.weights(t):
         qbasis, reduce_map = quot.quotient(w, field_.modulus, cap)
         total += (len(reduce_map) - len(qbasis)) * size
     return total
 
 
 def quotient_basis(spec, t, field_, cap=DEFAULT_NNZ_CAP):
-    """Monomials spanning (S/I)_t, together with the dimension.  In each
-    weight block they are the block's quotient basis: for the matrix
-    families the orbit representative's complement of its pivot monomials
-    under the canonical order, relabelled onto the block, not the canonical
-    complement at every weight."""
+    """Monomials spanning (S/I)_t, in the canonical order, together with the
+    dimension.  Each degree-t monomial is kept when it lies in the quotient
+    basis of its own weight's block: for the matrix families the orbit
+    representative's complement of its pivot monomials under the canonical
+    order, relabelled onto the block, not the canonical complement at every
+    weight."""
     quot = _graded_quotient(spec)
-    keep = set()
-    for w, _ in quot.weights(t, use_symmetry=False):
-        qbasis, _ = quot.quotient(w, field_.modulus, cap)
-        keep.update(qbasis)
-    basis = [m for m in monomials(spec.nvars, t, cap=cap) if m in keep]
+    keep = {}
+    basis = []
+    for m in monomials(spec.nvars, t, cap=cap):
+        w = quot.weight(spec.n, m)
+        if w not in keep:
+            keep[w] = set(quot.quotient(w, field_.modulus, cap)[0])
+        if m in keep[w]:
+            basis.append(m)
     return basis, len(basis)
 
 
-def betti_oracle(spec, i, d, field_, *, use_symmetry=True,
-                 cap=DEFAULT_NNZ_CAP):
+def betti_oracle(spec, i, d, field_, *, cap=DEFAULT_NNZ_CAP):
     """Graded Betti number b_{i,d} of the ideal, as the Koszul homology of
     Lambda^(i+2) (x) (S/I)_(d-i-2) -> Lambda^(i+1) (x) (S/I)_(d-i-1)
     -> Lambda^i (x) (S/I)_(d-i): nullity of the second map minus rank of the
-    first.  `use_symmetry` computes one block per orbit of weights (per
-    orbit of weight pairs under row and column permutations and the
-    transpose for the matrix families) and scales it by the orbit size;
-    False computes every block, on pieces still transported from each
-    orbit's representative.  `cap` bounds the nonzeros of each ideal block
-    and of each differential."""
+    first.  One block is computed per orbit of weights (per orbit of weight
+    pairs under row and column permutations and the transpose for the
+    matrix families) and scaled by the orbit size.  `cap` bounds the
+    nonzeros of each ideal block and of each differential."""
     if i < 0:
         raise ValueError("step must be nonnegative")
     quot = _graded_quotient(spec)
     wedges = {r: _wedges(quot, r) for r in (i, i + 1, i + 2)}
     total = 0
-    for w, size in quot.weights(d, use_symmetry):
+    for w, size in quot.weights(d):
         h = _betti_block(quot, field_.modulus, cap, wedges, i, w)
         if h:
             total += h * size

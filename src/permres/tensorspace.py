@@ -48,10 +48,15 @@ def mono_degree(m):
     return sum(e for _, e in m)
 
 
-def mono_times_var(m, var, exp=1):
-    d = dict(m)
-    d[var] = d.get(var, 0) + exp
-    return tuple(sorted(d.items()))
+def mono_times_var(m, var):
+    """m * x_var: var's exponent goes up by one, or (var, 1) is inserted at
+    its sorted position."""
+    for k, (v, e) in enumerate(m):
+        if v >= var:
+            if v == var:
+                return m[:k] + ((var, e + 1),) + m[k + 1:]
+            return m[:k] + ((var, 1),) + m[k:]
+    return m + ((var, 1),)
 
 
 def mono_mul(m1, m2):

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enumeration import count_monomials_with_support, naive_betti
+from enumeration import (
+    count_monomials_with_support,
+    monomials_dense,
+    naive_betti,
+)
 from permres import cli, oracle
 from permres.ideals import FAMILIES, IdealSpec, expand_generators
 from permres.modular import prime_fields, rank_of_rows
@@ -17,7 +21,6 @@ from permres.oracle import (
     _span,
     _wedges,
     betti_oracle,
-    compositions,
     dominant_weights,
     hilbert_oracle,
     orbit_size,
@@ -34,13 +37,12 @@ from permres.tensorspace import (
 
 
 def test_weight_helpers():
-    assert sorted(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
     assert list(dominant_weights(3, 2)) == [(3, 0), (2, 1)]
     assert orbit_size((2, 1, 1, 0)) == 12
-    # orbits partition the compositions
+    # orbits partition the weights, the exponent vectors of a degree
     for total, parts in ((4, 3), (5, 4)):
         assert sum(orbit_size(w) for w in dominant_weights(total, parts)) == \
-            len(list(compositions(total, parts)))
+            len(monomials_dense(parts, total))
 
 
 def test_hilbert_below_generator_degree(field):
@@ -65,14 +67,6 @@ def test_hilbert_squarefree_matches_enumeration(field):
                     count_monomials_with_support(n, d, kappa)
 
 
-def test_hilbert_symmetry_paths_agree(field):
-    for family in ("subpermanents", "minors"):
-        for (n, kappa, t) in ((2, 2, 3), (3, 2, 3), (3, 3, 4)):
-            spec = IdealSpec(family, n, kappa)
-            assert hilbert_oracle(spec, t, field, use_symmetry=True) == \
-                hilbert_oracle(spec, t, field, use_symmetry=False)
-
-
 def test_hilbert_matches_multiply_map_rank(field):
     # the weight-blocked oracle against the rank of the whole multiplication
     # map span{g} (x) S^(t-kappa) -> S^t, built without weights or symmetry
@@ -84,10 +78,8 @@ def test_hilbert_matches_multiply_map_rank(field):
                 for t in range(kappa, kappa + 3):
                     want = multiply_map_rank(gens, spec.nvars, kappa, t,
                                              field)
-                    for use_symmetry in (True, False):
-                        assert hilbert_oracle(
-                            spec, t, field, use_symmetry=use_symmetry
-                        ) == want, (family, n, kappa, t, use_symmetry)
+                    assert hilbert_oracle(spec, t, field) == want, \
+                        (family, n, kappa, t)
 
 
 def test_grid_quotient_checks_generator_first_terms(monkeypatch):
@@ -163,7 +155,8 @@ def test_transported_pieces_are_quotient_pieces(field):
             for kappa in range(1, n + 1):
                 quot = _graded_quotient(IdealSpec(family, n, kappa))
                 for t in range(kappa + 3):
-                    for w in itertools.product(compositions(t, n), repeat=2):
+                    for w in itertools.product(monomials_dense(n, t),
+                                               repeat=2):
                         monos = monomials_with_weight(n, *w)
                         index = {m: j for j, m in enumerate(monos)}
                         rows, _ = quot._spanning_rows(monos)
@@ -276,18 +269,6 @@ def test_betti_squarefree_resolution_is_linear(field):
                         assert value == 0, (n, kappa, i, d, value)
 
 
-def test_betti_symmetry_paths_agree(field):
-    for family, n, kappa, i, d in (
-        ("subpermanents", 3, 2, 1, 3),
-        ("subpermanents", 2, 2, 1, 4),
-        ("minors", 3, 2, 1, 3),
-        ("squarefree", 4, 2, 1, 3),
-    ):
-        spec = IdealSpec(family, n, kappa)
-        assert betti_oracle(spec, i, d, field, use_symmetry=True) == \
-            betti_oracle(spec, i, d, field, use_symmetry=False)
-
-
 def test_grid_blocks_transpose_symmetry(field):
     # x_ij -> x_ji preserves both matrix-family ideals and swaps row and
     # column weight, so a block and its transpose agree; the oracle counts
@@ -311,8 +292,6 @@ def test_grid_blocks_transpose_symmetry(field):
                         quot, p, cap, wedges, i, (wF, wE)
                     ), (family, n, kappa, i, d, wE, wF)
                     nonzero += h != 0
-                    assert len(quot.quotient((wE, wF), p, cap)[0]) == \
-                        len(quot.quotient((wF, wE), p, cap)[0])
         # the comparison is not vacuous: some off-diagonal block has homology
         assert nonzero, family
 
@@ -320,15 +299,17 @@ def test_grid_blocks_transpose_symmetry(field):
 @settings(deadline=None, derandomize=True, max_examples=30)
 @given(family=st.sampled_from(FAMILIES), n=st.integers(1, 3),
        data=st.data())
-def test_symmetry_paths_agree_property(field, family, n, data):
+def test_oracles_match_references_property(field, family, n, data):
+    # both oracles against references built without weights or symmetry:
+    # Koszul homology over the whole graded pieces, and the rank of the
+    # whole multiplication map
     kappa = data.draw(st.integers(1, n), label="kappa")
     i = data.draw(st.integers(0, 2), label="step")
     d = data.draw(st.integers(kappa + i, kappa + i + 1), label="degree")
     spec = IdealSpec(family, n, kappa)
-    assert betti_oracle(spec, i, d, field, use_symmetry=True) == \
-        betti_oracle(spec, i, d, field, use_symmetry=False)
-    assert hilbert_oracle(spec, d, field, use_symmetry=True) == \
-        hilbert_oracle(spec, d, field, use_symmetry=False)
+    assert betti_oracle(spec, i, d, field) == naive_betti(spec, i, d, field)
+    assert hilbert_oracle(spec, d, field) == multiply_map_rank(
+        expand_generators(spec), spec.nvars, kappa, d, field)
 
 
 def test_betti_matches_naive_whole_space_computation(field):
@@ -414,7 +395,7 @@ def test_betti_block_restricted_top_map(field):
             quot = _graded_quotient(IdealSpec(family, n, kappa))
             wedges = {r: _wedges(quot, r) for r in (i, i + 1, i + 2)}
             blocks = [(d, w) for d in (kappa + i, kappa + i + 1)
-                      for w, _ in quot.weights(d, use_symmetry=True)]
+                      for w, _ in quot.weights(d)]
             for d, w in blocks:
                 bottom_dim, bottom = _span(quot, p, cap, wedges[i], w)
                 middle_dim, middle = _span(quot, p, cap, wedges[i + 1], w)
@@ -453,9 +434,6 @@ def test_chain_groups_match_quotient_dims(field):
                     for b in (kappa - 1, kappa, kappa + 1):
                         _, qdim = quotient_basis(spec, b, field)
                         want = comb(spec.nvars, r) * qdim
-                        for use_symmetry in (True, False):
-                            weights = quot.weights(r + b, use_symmetry)
-                            got = sum(_span(quot, p, cap, wedges, w)[0]
-                                      * size for w, size in weights)
-                            assert got == want, (family, n, kappa, r, b,
-                                                 use_symmetry)
+                        got = sum(_span(quot, p, cap, wedges, w)[0] * size
+                                  for w, size in quot.weights(r + b))
+                        assert got == want, (family, n, kappa, r, b)

@@ -78,6 +78,29 @@ def test_mono_ops():
     assert mono_mul(m, m) == ((1, 2), (3, 2))
 
 
+def test_mono_times_var_matches_mono_mul_randomized():
+    # mono_times_var inserts into the sorted tuple in place of re-sorting;
+    # check it against the general product, counting where var lands
+    rng = random.Random(3)
+    seen = {"first": 0, "last": 0, "middle": 0, "repeated": 0}
+    for _ in range(2000):
+        nvars = rng.randint(1, 9)
+        support = sorted(rng.sample(range(nvars), rng.randint(0, nvars)))
+        m = tuple((v, rng.randint(1, 3)) for v in support)
+        var = rng.randrange(nvars)
+        got = mono_times_var(m, var)
+        assert got == mono_mul(m, ((var, 1),)), (m, var)
+        if var in support:
+            seen["repeated"] += 1
+        elif not support or var < support[0]:
+            seen["first"] += 1
+        elif var > support[-1]:
+            seen["last"] += 1
+        else:
+            seen["middle"] += 1
+    assert min(seen.values()) > 100, seen
+
+
 def test_weight_and_regularity():
     n = 3
     m = mono_mul(
