@@ -1,8 +1,8 @@
 """Persistent result cache: one plain-text file per computed cell, keyed by
 a digest of the cell's parameters (prime included), written by atomic rename
-so concurrent writers are safe.  A configurable fraction of cache hits is
-audited by recomputing the value; a mismatch means the cache or the
-arithmetic is broken and raises."""
+so concurrent writers are safe.  A fixed fraction (`AUDIT_FRACTION`) of
+cache hits is audited by recomputing the value; a mismatch means the cache
+or the arithmetic is broken and raises."""
 
 import hashlib
 import logging
@@ -14,16 +14,18 @@ log = logging.getLogger(__name__)
 
 HEADER_PREFIX = "# permres-cache "
 
+# Share of cache hits that are recomputed and compared with the stored value.
+AUDIT_FRACTION = 0.05
+
 
 class CacheCorruptionError(RuntimeError):
     """A cached value disagreed with a fresh recomputation."""
 
 
 class ResultCache:
-    def __init__(self, directory, version, audit_fraction=0.05, rng=None):
+    def __init__(self, directory, version, rng=None):
         self.directory = directory
         self.version = version
-        self.audit_fraction = audit_fraction
         self.rng = rng if rng is not None else random.Random()
         self.hits = 0
         self.misses = 0
@@ -78,12 +80,12 @@ class ResultCache:
 
     def get_or_compute(self, compute, **fields):
         """Cached value for the cell, computing and storing on a miss.  On a
-        hit, an audit_fraction sample is recomputed and compared."""
+        hit, an `AUDIT_FRACTION` sample is recomputed and compared."""
         key = self.key(**fields)
         cached = self.get(key)
         if cached is not None:
             self.hits += 1
-            if self.rng.random() < self.audit_fraction:
+            if self.rng.random() < AUDIT_FRACTION:
                 self.audits += 1
                 fresh = compute()
                 if fresh != cached:

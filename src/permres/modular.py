@@ -5,17 +5,15 @@ finitely many minors; agreement over two independently chosen 31-bit primes
 is the acceptance gate (silent error probability below 2^-30 per entry).
 
 Rank has one kernel, `rank_of_rows`: sparse Markowitz-style pivots picked
-through a bucket queue of row lengths, then a dense vectorized finish once
-the active part has filled in.  All eliminations, and so the pivot sequence
-of every rank, are deterministic for a fixed prime.
+through a bucket queue of row lengths, in pure Python with no dense finish.
+All eliminations, and so the pivot sequence of every rank, are deterministic
+for a fixed prime.
 """
 
 import heapq
 import logging
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -24,15 +22,6 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 PRIME_LOW = 1 << 30
 PRIME_HIGH = 1 << 31
-
-# The sparse elimination hands its active part to the dense finish once the
-# active rows hold more than this share of (active rows) x (occupied columns)
-# cells, unless fewer than `_DENSE_MIN_ROWS` rows are left.  On the oracle's
-# Koszul blocks (a few entries per row) fill-in passes 0.1 only late, after
-# most pivots are taken, and the vectorized finish of the dense rest is then
-# cheaper than continuing row by row.
-_DENSE_FILL = 0.1
-_DENSE_MIN_ROWS = 128
 
 
 class PrimeDisagreementError(RuntimeError):
@@ -100,16 +89,14 @@ def prime_fields(seed, count=2):
     return fields
 
 
-def rank_of_rows(rows, p, pivot_rows=None):
+def rank_of_rows(rows, p, *, pivot_rows=None):
     """Rank over F_p of a matrix given as sparse rows ({col: coeff}).
 
-    One kernel for every shape: Markowitz-style sparse elimination that
+    One sparse kernel for every shape: Markowitz-style elimination that
     pivots in the shortest active row (lowest row index among equals), at
     the column of that row with the fewest occupants (lowest column among
     equals), so the pivot sequence is deterministic for a fixed prime.  The
-    shortest row comes from a bucket queue keyed by row length.  Once the
-    active part fills in (see `_DENSE_FILL`), its rows and occupied columns
-    are compacted and finished by `_rank_dense`.
+    shortest row comes from a bucket queue keyed by row length.
 
     `pivot_rows`, if given, is a list that the kernel extends with the input
     positions (0-based, counting zero rows) of its pivot rows: `rank`
@@ -117,41 +104,25 @@ def rank_of_rows(rows, p, pivot_rows=None):
     pivot is its input row minus a combination of earlier pivots, so the
     input rows at those positions span the same space as the pivots.
     """
-    active = {}      # row index -> {col: nonzero coeff mod p}
-    col_rows = {}    # occupied col -> indices of the active rows using it
-    position = []    # row index -> input position
-    for k, row in enumerate(rows):
+    active = {}      # input position -> {col: nonzero coeff mod p}
+    col_rows = {}    # occupied col -> positions of the active rows using it
+    for i, row in enumerate(rows):
         r = {c: v % p for c, v in row.items() if v % p}
         if r:
-            i = len(active)
             active[i] = r
-            position.append(k)
             for c in r:
                 if c in col_rows:
                     col_rows[c].add(i)
                 else:
                     col_rows[c] = {i}
-    # buckets[n] is a heap of the indices of rows last seen with n entries;
+    # buckets[n] is a heap of the positions of rows last seen with n entries;
     # an entry is stale once its row is gone or has another length
     buckets = {}
-    nnz = 0
     for i, r in active.items():
         buckets.setdefault(len(r), []).append(i)  # ascending: already heaps
-        nnz += len(r)
     shortest = min(buckets, default=0)
     rank = 0
     while active:
-        if (len(active) >= _DENSE_MIN_ROWS
-                and nnz > _DENSE_FILL * len(active) * len(col_rows)):
-            index = {c: k for k, c in enumerate(sorted(col_rows))}
-            order = sorted(active)
-            rest = [{index[c]: v for c, v in active[i].items()}
-                    for i in order]
-            dense = []
-            rank += _rank_dense(rest, len(index), p, dense)
-            if pivot_rows is not None:
-                pivot_rows.extend(position[order[k]] for k in dense)
-            return rank
         while True:
             bucket = buckets.get(shortest)
             if not bucket:
@@ -162,10 +133,9 @@ def rank_of_rows(rows, p, pivot_rows=None):
             if row is not None and len(row) == shortest:
                 break
         del active[i]
-        nnz -= len(row)
         rank += 1
         if pivot_rows is not None:
-            pivot_rows.append(position[i])
+            pivot_rows.append(i)
         c = min(row, key=lambda cc: (len(col_rows[cc]), cc))
         for cc in row:
             users = col_rows[cc]
@@ -200,43 +170,11 @@ def rank_of_rows(rows, p, pivot_rows=None):
                         if not users:
                             del col_rows[cc]
             after = len(other)
-            nnz += after - before
             if not after:
                 del active[j]
             elif after != before:
                 heapq.heappush(buckets.setdefault(after, []), j)
                 shortest = min(shortest, after)
-    return rank
-
-
-def _rank_dense(rows, ncols, p, pivot_rows=None):
-    """Rank by dense vectorized elimination; `pivot_rows` as for
-    `rank_of_rows`, tracked through the row swaps."""
-    a = np.zeros((len(rows), ncols), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            a[i, c] = v % p
-    rank = 0
-    nrows = len(rows)
-    order = list(range(nrows))  # current row -> input position
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        nz = np.nonzero(a[rank:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-            order[rank], order[piv] = order[piv], order[rank]
-        inv = pow(int(a[rank, col]), p - 2, p)
-        a[rank] = a[rank] * inv % p
-        below = rank + 1 + np.nonzero(a[rank + 1:, col])[0]
-        if below.size:
-            a[below] = (a[below] - a[below, col][:, None] * a[rank]) % p
-        rank += 1
-    if pivot_rows is not None:
-        pivot_rows.extend(order[:rank])
     return rank
 
 

@@ -1,11 +1,13 @@
 """Independent brute-force enumerations used as test oracles.  These stay
 deliberately naive: counting objects one by one, never through the closed
-forms they are checking.  Two small helpers that only tests use as
-independent formulas live here too: the regular-weight predicate and the
-dimension of an induced module."""
+forms they are checking.  Small helpers that only tests use as independent
+references live here too: the regular-weight predicate, the dimension of an
+induced module, and a dense rank over F_p by row reduction with numpy."""
 
 import itertools
 from functools import cache
+
+import numpy as np
 
 
 @cache
@@ -76,6 +78,33 @@ def induced_dim(dim_w, order_h, order_g):
             f"induced dimension {dim_w}*{order_g}/{order_h} is not an integer"
         )
     return num // order_h
+
+
+def dense_rank(rows, ncols, p):
+    """Rank over F_p of sparse rows ({col: coeff}, columns below `ncols`) by
+    dense Gaussian elimination in int64: the reference the sparse kernel
+    `rank_of_rows` is checked against."""
+    a = np.zeros((len(rows), ncols), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            a[i, c] = v % p
+    rank = 0
+    for col in range(ncols):
+        if rank == len(rows):
+            break
+        nz = np.nonzero(a[rank:, col])[0]
+        if nz.size == 0:
+            continue
+        piv = rank + int(nz[0])
+        if piv != rank:
+            a[[rank, piv]] = a[[piv, rank]]
+        inv = pow(int(a[rank, col]), p - 2, p)
+        a[rank] = a[rank] * inv % p
+        below = rank + 1 + np.nonzero(a[rank + 1:, col])[0]
+        if below.size:
+            a[below] = (a[below] - a[below, col][:, None] * a[rank]) % p
+        rank += 1
+    return rank
 
 
 def monomials_dense(nvars, degree):

@@ -1,15 +1,17 @@
 import os
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from permres.cache import CacheCorruptionError, ResultCache
 
 
-def _cache(tmp_path, audit=0.0, rng=None):
+def _cache(tmp_path, audit=False):
+    # every draw is 0.0, below any audit fraction, or 1.0, above all of them
+    draw = 0.0 if audit else 1.0
     return ResultCache(str(tmp_path / "cache"), "0.test",
-                       audit_fraction=audit,
-                       rng=rng or random.Random(0))
+                       rng=SimpleNamespace(random=lambda: draw))
 
 
 def test_keys_depend_on_all_fields(tmp_path):
@@ -51,7 +53,7 @@ def test_disabled_cache_always_computes():
 
 
 def test_audit_detects_corruption(tmp_path):
-    c = _cache(tmp_path, audit=1.0)
+    c = _cache(tmp_path, audit=True)
     key = c.key(kind="x", cell=1)
     c.put(key, 42)
     # fresh value disagrees with the stored one
@@ -61,7 +63,7 @@ def test_audit_detects_corruption(tmp_path):
 
 
 def test_audit_passes_when_consistent(tmp_path):
-    c = _cache(tmp_path, audit=1.0)
+    c = _cache(tmp_path, audit=True)
     assert c.get_or_compute(lambda: 42, kind="x", cell=1) == 42
     assert c.get_or_compute(lambda: 42, kind="x", cell=1) == 42
     assert c.audits == 1

@@ -1,12 +1,13 @@
 import csv
-import functools
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from permres import __version__, cli, lascoux
+from permres import __version__, cache, cli, lascoux
 from permres.cache import HEADER_PREFIX, ResultCache
 from permres.cli import (
     EXIT_INVALID,
@@ -346,8 +347,7 @@ def test_cache_corruption_exit_code(capsys, tmp_path, monkeypatch):
         with open(path, "w") as fh:
             fh.write(f"{header}78\n")
     # audit every cache hit
-    monkeypatch.setattr(cli, "ResultCache",
-                        functools.partial(ResultCache, audit_fraction=1))
+    monkeypatch.setattr(cache, "AUDIT_FRACTION", 1)
     code, env = run_json(capsys, *argv)
     assert code == EXIT_MISMATCH
     assert env["error"]["type"] == "cache-corruption"
@@ -454,3 +454,23 @@ def test_cache_reuse_and_audit(capsys, tmp_path):
         + ".txt"
         for p in env1["primes"] for t in range(2, 6)
     }
+
+
+def test_package_runs_without_numpy():
+    # numpy is a test dependency only: a fresh interpreter imports the CLI
+    # and computes a betti row without loading it
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    script = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {os.path.abspath(src)!r})\n"
+        "import permres.cli\n"
+        "code = permres.cli.main(['betti', '--family', 'subpermanents',"
+        " '-n', '3', '-k', '2', '--steps', '0..1', '--cache-dir', 'none'])\n"
+        "print(json.dumps([code, 'numpy' in sys.modules]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, numpy_loaded = json.loads(done.stdout.splitlines()[-1])
+    assert code == EXIT_OK
+    assert not numpy_loaded

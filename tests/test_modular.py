@@ -1,13 +1,12 @@
 import itertools
 import math
 import random
-from unittest import mock
 
 import pytest
+from enumeration import dense_rank
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permres import modular
 from permres.modular import (
     PrimeDisagreementError,
     PrimeField,
@@ -17,7 +16,6 @@ from permres.modular import (
     random_prime_field,
     rank_of_rows,
     rref_of_rows,
-    _rank_dense,
 )
 
 
@@ -67,9 +65,7 @@ def test_rank_engines_agree():
         rows = _random_rows(rng, rng.randint(1, 12), rng.randint(1, 12),
                             rng.choice([0.2, 0.5, 0.9]), p)
         ncols = max((max(r) + 1 for r in rows if r), default=1)
-        assert rank_of_rows(rows, p) == _rank_dense(
-            [r for r in rows if r], ncols, p
-        )
+        assert rank_of_rows(rows, p) == dense_rank(rows, ncols, p)
 
 
 def test_rank_invariant_under_row_and_column_permutations():
@@ -95,19 +91,12 @@ def test_rank_known_values():
     assert rank_of_rows(rows, p) == 2
 
 
-def _rank_and_dense_finishes(rows, p):
-    """The kernel's rank, and how often it handed off to `_rank_dense`."""
-    with mock.patch.object(modular, "_rank_dense", wraps=_rank_dense) as dense:
-        rank = rank_of_rows(rows, p)
-    return rank, dense.call_count
-
-
 def _dense_rank_of_used_columns(rows, p):
-    """`_rank_dense` on the matrix with its unused columns dropped."""
+    """`dense_rank` on the matrix with its unused columns dropped."""
     used = sorted({c for row in rows for c, v in row.items() if v % p})
     index = {c: k for k, c in enumerate(used)}
     compact = [{index[c]: v for c, v in row.items() if v % p} for row in rows]
-    return _rank_dense([r for r in compact if r], len(used), p)
+    return dense_rank(compact, len(used), p)
 
 
 def _sparse_factor(rng, nrows, ncols, per_row, p):
@@ -136,19 +125,18 @@ def _product(left, right, p):
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("rank", [185, 195])
-def test_planted_rank_with_dense_finish(seed, rank):
+def test_planted_rank(seed, rank):
     # B (300 x rank) has full column rank and C (rank x 200) full row rank,
-    # so B.C has rank exactly `rank`; about 6 entries per row fill in far
-    # enough that the kernel hands its rest to the dense finish
+    # so B.C has rank exactly `rank`; about 6 entries per row, which fill in
+    # as the elimination goes on
     p = prime_fields(0, 1)[0].modulus
     rng = random.Random(seed)
     left = _sparse_factor(rng, 300, rank, 1, p)
     right = _sparse_factor(rng, rank, 200, 3, p)
-    assert _rank_dense(left, rank, p) == rank
-    assert _rank_dense(right, 200, p) == rank
+    assert dense_rank(left, rank, p) == rank
+    assert dense_rank(right, 200, p) == rank
     rows = _product(left, right, p)
-    got, finishes = _rank_and_dense_finishes(rows, p)
-    assert finishes == 1
+    got = rank_of_rows(rows, p)
     assert got == rank == _dense_rank_of_used_columns(rows, p)
 
 
@@ -165,9 +153,7 @@ def _simplex_boundary(m, k):
 def test_koszul_like_rank_deficient_finish_sparse(m, k):
     p = prime_fields(0, 1)[0].modulus
     rows = _simplex_boundary(m, k)
-    assert len(rows) > modular._DENSE_MIN_ROWS
-    got, finishes = _rank_and_dense_finishes(rows, p)
-    assert finishes == 0
+    got = rank_of_rows(rows, p)
     assert got == math.comb(m - 1, k) == _dense_rank_of_used_columns(rows, p)
 
 
@@ -179,12 +165,10 @@ def test_rank_degenerate_inputs():
     # entries that are multiples of p are zeros
     assert rank_of_rows([{0: p, 3: -2 * p}, {1: 3 * p}], p) == 0
     assert rank_of_rows([{0: p, 1: 1}, {0: 1, 1: p + 1}, {2: p}], p) == 2
-    # unused columns change nothing, also when the kernel hands off to the
-    # dense finish
+    # unused columns change nothing, also on rows that fill in
     rng = random.Random(5)
     rows = [{c: rng.randrange(1, p) for c in rng.sample(range(150), 6)}
             for _ in range(260)]
-    assert _rank_and_dense_finishes(rows, p)[1] == 1
     got = rank_of_rows(rows, p)
     assert got == _dense_rank_of_used_columns(rows, p)
 
@@ -202,9 +186,17 @@ def _rank_and_pivot_rows(rows, p):
     return rank, out
 
 
+def test_pivot_rows_keyword_only():
+    # a third positional argument would read as a column count to callers
+    # that wrap the kernel, so `pivot_rows` is passed by keyword only
+    p = prime_fields(0, 1)[0].modulus
+    with pytest.raises(TypeError):
+        rank_of_rows([{0: 1}], p, [])
+
+
 def test_pivot_rows_skip_zero_rows():
-    # zero rows and rows that vanish mod p come first, so an active row's
-    # index differs from its input position
+    # zero rows and rows that vanish mod p come first and are never pivots,
+    # but still count in the input positions
     p = prime_fields(0, 1)[0].modulus
     zeros = [{}, {0: p, 3: -2 * p}, {1: 3 * p}]
     rows = zeros + [{0: 1, 1: 1}, {0: 2, 1: 2}, {1: 1, 2: 5}, {2: p + 1}]
@@ -217,20 +209,18 @@ def test_pivot_rows_skip_zero_rows():
 def test_pivot_rows_sparse_phase(m, k):
     p = prime_fields(0, 1)[0].modulus
     rows = _simplex_boundary(m, k)
-    assert _rank_and_dense_finishes(rows, p)[1] == 0
     assert _rank_and_pivot_rows(rows, p)[0] == math.comb(m - 1, k)
 
 
 @pytest.mark.parametrize("seed", range(2))
-def test_pivot_rows_through_dense_finish(seed):
-    # a planted rank that hands off to `_rank_dense`, behind a zero row: the
-    # dense finish's row swaps map back to input positions
+def test_pivot_rows_on_filled_rows(seed):
+    # a planted rank whose rows fill in, behind a zero row: the pivot rows
+    # are input positions, counting the zero row
     p = prime_fields(0, 1)[0].modulus
     rng = random.Random(seed)
     left = _sparse_factor(rng, 300, 185, 1, p)
     right = _sparse_factor(rng, 185, 200, 3, p)
     rows = [{}] + _product(left, right, p)
-    assert _rank_and_dense_finishes(rows, p)[1] == 1
     assert _rank_and_pivot_rows(rows, p)[0] == 185
 
 
@@ -238,17 +228,15 @@ def test_pivot_rows_through_dense_finish(seed):
 @given(nrows=st.integers(140, 180), per_row=st.integers(10, 12),
        data=st.data())
 def test_rank_kernel_property(nrows, per_row, data):
-    # about square with ten or more entries per row: the kernel hands off
-    # to the dense finish, and the rows are independent, so a row lost on
-    # the way changes the rank
+    # about square with ten or more entries per row, so the rows fill in
+    # fast, and independent, so a row lost on the way changes the rank
     p = prime_fields(0, 1)[0].modulus
     ncols = nrows + data.draw(st.integers(0, 4), label="extra columns")
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
     rows = [{c: rng.randrange(1, p) for c in rng.sample(range(ncols), per_row)}
             for _ in range(nrows)]
-    got, finishes = _rank_and_dense_finishes(rows, p)
-    assert finishes == 1
-    assert got == _rank_dense(rows, ncols, p)
+    got = rank_of_rows(rows, p)
+    assert got == dense_rank(rows, ncols, p)
     # permute rows and columns, scale each row by a nonzero constant
     perm = list(range(ncols))
     rng.shuffle(perm)
