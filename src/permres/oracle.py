@@ -43,11 +43,14 @@ by position.  The independent references are outside this module:
 homology of the tests for the Betti numbers, and a check of each
 transported piece against its block's own spanning rows.
 
-A block's Koszul window only involves wedges (subsets of the variables)
-whose weight fits under the block's.  The wedges are indexed by the outer
-part of their weight (row weight, or multidegree), then the inner part
-(column weight, or nothing), so a block skips whole groups that cannot fit
-and looks up each quotient piece once per group.
+A block's Koszul window only involves wedges (r-subsets of the variables)
+whose weight t fits under the block's weight w, and the graded quotient
+lists them from w with the weights w - t of their quotient pieces
+(`wedges(r, w)`): for the matrix families, the 0/1 n x n matrices with row
+sums tE and column sums tF, once per t per ideal; for the square-free
+family, the r-subsets of w's support.  So a window looks up one quotient
+piece per weight t that some wedge has, and no wedge outside every window is
+listed.
 
 A block's homology is the nullity of its middle map minus the rank of its
 top map, and the middle map is ranked first.  A block with nullity 0 stops
@@ -101,8 +104,10 @@ def _sub(w, v):
     return tuple(map(operator.sub, w, v))
 
 
-def _nonneg(w):
-    return min(w, default=0) >= 0
+def _below(w, total):
+    """The weights t <= w whose entries sum to `total`."""
+    return [t for t in itertools.product(*(range(x + 1) for x in w))
+            if sum(t) == total]
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +124,9 @@ class _GridQuotient:
     representative blocks (monomials, the integer rows spanning the ideal's
     block and their nonzeros), each representative's echelon form mod p read
     by position, each weight's monomials relabelled from its
-    representative's, and one memo of each weight's piece, keyed by (w, p).
-    So every cell and step of an ideal shares the blocks, and each prime
-    reduces each orbit once."""
+    representative's, one memo of each weight's piece, keyed by (w, p), and
+    each wedge weight's wedges.  So every cell and step of an ideal shares
+    the blocks, and each prime reduces each orbit once."""
 
     @staticmethod
     def weight(n, m):
@@ -131,7 +136,6 @@ class _GridQuotient:
 
     def __init__(self, spec):
         self.n = spec.n
-        self.nvars = spec.nvars
         self.kappa = spec.kappa
         # every generator is found from the variables of its first term,
         # which must be kappa distinct variables owned by no other generator
@@ -149,6 +153,8 @@ class _GridQuotient:
         self._orbit = {}      # w -> (representative, relabelled monomials)
         self._echelons = {}   # (representative, p) -> (free, coefficients)
         self._pieces = {}     # (w, p) -> (quotient basis, reduction map)
+        self._wedges = {}     # t -> [r-subsets of weight t]
+        self._fitting = {}    # (r, w clipped at r) -> [(t, r-subsets)]
 
     def weights(self, total):
         """One pair per orbit under permuting rows, permuting columns and
@@ -181,6 +187,31 @@ class _GridQuotient:
             self._pieces[w, p] = ([monos[i] for i in free],
                                   dict(zip(monos, coeffs)))
         return self._pieces[w, p]
+
+    def wedges(self, r, w):
+        """[(w - t, the r-subsets of weight t)] over the weights t <= w of
+        r-subsets: 0/1 n x n matrices with row sums tE and column sums tF,
+        filled row by row against the remaining column sums (Ryser's
+        setting) once per t.  No row or column sum of an r-subset exceeds r,
+        so the t that fit are found once per w clipped at r."""
+        key = r, tuple(tuple(min(x, r) for x in part) for part in w)
+        if key not in self._fitting:
+            fitting = []
+            for t in itertools.product(*(_below(part, r) for part in key[1])):
+                if t not in self._wedges:
+                    self._wedges[t] = [
+                        tuple(v for v, _ in m)
+                        for m in monomials_with_weight(self.n, *t, bound=1)]
+                if self._wedges[t]:
+                    fitting.append((t, self._wedges[t]))
+            # no value depends on the order of a window's wedges, but the
+            # rank kernel's pivots, and so the size of each restricted top
+            # map, do: list the row weights, and within one the weights, in
+            # the order the lexicographic listing of r-subsets meets them
+            fitting.sort(key=lambda tg: ([-x for x in tg[0][0]], tg[1][0]))
+            self._fitting[key] = fitting
+        return [((_sub(w[0], tE), _sub(w[1], tF)), group)
+                for (tE, tF), group in self._fitting[key]]
 
     def _relabel(self, w):
         """(representative, block monomials) of weight w: the sorted row and
@@ -262,7 +293,6 @@ class _SquarefreeQuotient:
 
     def __init__(self, spec):
         self.n = spec.n
-        self.nvars = spec.nvars
         self.kappa = spec.kappa
 
     def weights(self, total):
@@ -276,6 +306,14 @@ class _SquarefreeQuotient:
         if len(mono) < self.kappa:
             return [mono], {mono: {0: 1}}
         return [], {mono: {}}
+
+    def wedges(self, r, w):
+        """Yields (w - t, [T]) for the r-subsets T of w's support, t the
+        multidegree of T, which holds no other wedge."""
+        support = [v for v, x in enumerate(w[0]) if x]
+        for T in itertools.combinations(support, r):
+            rest = tuple(x - (v in T) for v, x in enumerate(w[0]))
+            yield (rest, ()), [T]
 
 
 # one ideal at a time: a CLI invocation has one ideal, so every prime, cell
@@ -292,60 +330,20 @@ def _graded_quotient(spec):
 # the Koszul window
 
 
-class _WedgeIndex:
-    """All r-subsets of the variables, indexed as
-    {outer weight: {inner weight: [subsets]}}.  An outer weight has entries
-    at most r, so the groups that fit under a block depend only on its outer
-    weight clipped at r; they are found once per clipped weight."""
-
-    def __init__(self, weight, n, nvars, r):
-        self.r = r
-        self.groups = {}
-        for T in itertools.combinations(range(nvars), r):
-            outer, inner = weight(n, tuple((v, 1) for v in T))
-            self.groups.setdefault(outer, {}).setdefault(inner, []).append(T)
-        self._fitting = {}
-
-    def fitting(self, outer):
-        """[(outer weight, {inner weight: [subsets]})] with outer weight
-        at most the given one."""
-        key = tuple(min(x, self.r) for x in outer)
-        if key not in self._fitting:
-            self._fitting[key] = [(tE, by_inner)
-                                  for tE, by_inner in self.groups.items()
-                                  if _nonneg(_sub(key, tE))]
-        return self._fitting[key]
-
-
-# the index depends only on how variables add to a weight, so one per
-# (weight, n, nvars, r) serves every ideal, prime and call
-_wedge_index = functools.cache(_WedgeIndex)
-
-
-def _wedges(quot, r):
-    return _wedge_index(quot.weight, quot.n, quot.nvars, r)
-
-
-def _span(quot, p, cap, wedges, w):
-    """Layout of the weight-w block of Lambda^r (x) S/I, for the
-    `_WedgeIndex` of r-subsets: its dimension and {wedge: (offset, quotient
-    basis, reduction map)} for the wedges whose quotient piece is nonzero.
-    The basis vector (T, u) sits at T's offset plus u's position in the
-    piece, in the order of the wedges.  The pieces have degree |w| - r;
-    below r no wedge fits under w."""
+def _span(quot, p, cap, r, w):
+    """Layout of the weight-w block of Lambda^r (x) S/I: its dimension and
+    {wedge: (offset, quotient basis, reduction map)} for the wedges whose
+    quotient piece is nonzero.  The basis vector (T, u) sits at T's offset
+    plus u's position in the piece, in the order of the wedges.  The pieces
+    have degree |w| - r; below r no wedge fits under w."""
     layout = {}
     dim = 0
-    for tE, by_inner in wedges.fitting(w[0]):
-        mE = _sub(w[0], tE)
-        for tF, group in by_inner.items():
-            mF = _sub(w[1], tF)
-            if not _nonneg(mF):
-                continue
-            qbasis, reduce_map = quot.quotient((mE, mF), p, cap)
-            if qbasis:
-                for T in group:
-                    layout[T] = (dim, qbasis, reduce_map)
-                    dim += len(qbasis)
+    for m, group in quot.wedges(r, w):
+        qbasis, reduce_map = quot.quotient(m, p, cap)
+        if qbasis:
+            for T in group:
+                layout[T] = (dim, qbasis, reduce_map)
+                dim += len(qbasis)
     return dim, layout
 
 
@@ -381,7 +379,7 @@ def _differential(p, cap, source, target, columns):
     return rows
 
 
-def _betti_block(quot, p, cap, wedges, i, w):
+def _betti_block(quot, p, cap, i, w):
     """Homology dimension mod p of the weight-w block of the Koszul window
     Lambda^(i+2) (x) (S/I)_(d-i-2) -> Lambda^(i+1) (x) (S/I)_(d-i-1)
     -> Lambda^i (x) (S/I)_(d-i), where d = |w|.
@@ -395,17 +393,17 @@ def _betti_block(quot, p, cap, wedges, i, w):
     those coordinates is one-to-one on the image, over every prime, and the
     restricted top map has only nullity columns.  The cap bounds each full
     differential."""
-    middle_dim, middle = _span(quot, p, cap, wedges[i + 1], w)
+    middle_dim, middle = _span(quot, p, cap, i + 1, w)
     if not middle_dim:
         return 0
-    bottom_dim, bottom = _span(quot, p, cap, wedges[i], w)
+    bottom_dim, bottom = _span(quot, p, cap, i, w)
     pivots = []
     nullity = middle_dim - rank_of_rows(
         _differential(p, cap, middle, bottom, range(bottom_dim)), p,
         pivot_rows=pivots)
     if not nullity:
         return 0
-    top_dim, top = _span(quot, p, cap, wedges[i + 2], w)
+    top_dim, top = _span(quot, p, cap, i + 2, w)
     if not top_dim:
         return nullity
     pivots = set(pivots)
@@ -467,11 +465,13 @@ def betti_oracle(spec, i, d, field_, *, cap=DEFAULT_NNZ_CAP):
     nonzeros of each ideal block and of each differential."""
     if i < 0:
         raise ValueError("step must be nonnegative")
+    if i + 1 > spec.nvars:
+        # Lambda^(i+1) of the variables is 0: every window's middle is 0
+        return 0
     quot = _graded_quotient(spec)
-    wedges = {r: _wedges(quot, r) for r in (i, i + 1, i + 2)}
     total = 0
     for w, size in quot.weights(d):
-        h = _betti_block(quot, field_.modulus, cap, wedges, i, w)
+        h = _betti_block(quot, field_.modulus, cap, i, w)
         if h:
             total += h * size
     return total

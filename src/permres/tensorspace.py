@@ -11,7 +11,7 @@ exponent vector, largest first, so matrices assembled from these bases are
 reproducible.
 """
 
-from math import comb
+from math import comb, inf
 
 from .modular import rank_of_rows
 
@@ -104,9 +104,10 @@ def monomials(nvars, d, cap=DEFAULT_BASIS_CAP):
     return out
 
 
-def monomials_with_weight(n, w_rows, w_cols):
+def monomials_with_weight(n, w_rows, w_cols, bound=inf):
     """Grid monomials with prescribed row and column weights (nonnegative
-    integer matrices with given margins), in a deterministic order."""
+    integer matrices with given margins, each entry at most `bound`), in a
+    deterministic order."""
     if sum(w_rows) != sum(w_cols):
         return []
     if any(x < 0 for x in w_rows) or any(x < 0 for x in w_cols):
@@ -121,12 +122,13 @@ def monomials_with_weight(n, w_rows, w_cols):
         target = w_rows[i]
 
         def place(j, rem):
-            if j == n:
+            # a row whose weight is placed has zeros in its later columns
+            if rem == 0 or j == n:
                 if rem == 0:
                     fill_row(i + 1, acc)
                 return
             tail_capacity = sum(cols[j + 1:])
-            for e in range(min(rem, cols[j]), -1, -1):
+            for e in range(min(rem, cols[j], bound), -1, -1):
                 if rem - e > tail_capacity:
                     continue
                 cols[j] -= e

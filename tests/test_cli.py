@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -456,21 +457,59 @@ def test_cache_reuse_and_audit(capsys, tmp_path):
     }
 
 
-def test_package_runs_without_numpy():
-    # numpy is a test dependency only: a fresh interpreter imports the CLI
-    # and computes a betti row without loading it
+def run_fresh(*argv):
+    """(exit code, envelope, whether numpy was loaded, peak RSS in MB) of a
+    CLI call in a fresh interpreter with `src` on the path."""
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     script = (
-        "import json, sys\n"
+        "import contextlib, io, json, resource, sys\n"
         f"sys.path.insert(0, {os.path.abspath(src)!r})\n"
         "import permres.cli\n"
-        "code = permres.cli.main(['betti', '--family', 'subpermanents',"
-        " '-n', '3', '-k', '2', '--steps', '0..1', '--cache-dir', 'none'])\n"
-        "print(json.dumps([code, 'numpy' in sys.modules]))\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    code = permres.cli.main({list(argv)!r})\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+        "print(json.dumps([code, json.loads(out.getvalue()),"
+        " 'numpy' in sys.modules, peak]))\n"
     )
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    code, numpy_loaded = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_package_runs_without_numpy():
+    # numpy is a test dependency only: a fresh interpreter imports the CLI
+    # and computes a betti row without loading it
+    code, _, numpy_loaded, _ = run_fresh(
+        "betti", "--family", "subpermanents", "-n", "3", "-k", "2",
+        "--steps", "0..1", "--cache-dir", "none")
     assert code == EXIT_OK
     assert not numpy_loaded
+
+
+def test_betti_past_the_exterior_algebra(capsys):
+    # Lambda^(i+1) of the 3 variables is 0 for step i = 2000, so the value
+    # is 0 at once, without walking the weights of degree 2002
+    started = time.perf_counter()
+    code, env = run_json(
+        capsys, "betti", "--family", "squarefree", "-n", "3", "-k", "2",
+        "--steps", "2000", "--cache-dir", "none")
+    assert time.perf_counter() - started < 1
+    assert code == EXIT_OK
+    (row,) = env["results"]
+    assert row["oracle"] == 0 and row["match"] is True
+
+
+@pytest.mark.expensive
+def test_expensive_betti_cell_n6():
+    # a linear-strand cell of the 2x2 minors of a 6x6 matrix over two primes:
+    # its windows reach 6-subsets of the 36 variables, and only the wedges
+    # under its blocks' weights are listed, so the whole process stays small
+    code, env, _, peak_mb = run_fresh(
+        "betti", "--family", "minors", "-n", "6", "-k", "2", "--steps", "4",
+        "--expensive", "--mode", "both", "--cache-dir", "none")
+    assert code == EXIT_OK
+    (row,) = env["results"]
+    assert row["oracle"] == row["formula"] == 139300
+    assert peak_mb < 150, peak_mb

@@ -1,4 +1,7 @@
 import itertools
+import math
+import operator
+from collections import Counter
 from math import comb
 
 import pytest
@@ -19,7 +22,6 @@ from permres.oracle import (
     _GridQuotient,
     _graded_quotient,
     _span,
-    _wedges,
     betti_oracle,
     dominant_weights,
     hilbert_oracle,
@@ -97,15 +99,16 @@ def test_grid_quotient_checks_generator_first_terms(monkeypatch):
 def test_blocks_built_once_per_ideal(capsys, monkeypatch):
     # one graded quotient holds an ideal's state across cells, steps and
     # commands: the generators are expanded once, each orbit
-    # representative's basis is enumerated once, and each prime reduces
-    # each representative's block once; every other weight is relabelled
+    # representative's basis and each wedge weight's 0/1 matrices are
+    # enumerated once, and each prime reduces each representative's block
+    # once; every other weight is relabelled
     calls = {"mww": [], "expand": 0, "rref": []}
     mww, expand, rref = (oracle.monomials_with_weight,
                          oracle.expand_generators, oracle.rref_of_rows)
 
-    def counted_mww(n, wE, wF):
-        calls["mww"].append((wE, wF))
-        return mww(n, wE, wF)
+    def counted_mww(n, wE, wF, bound=math.inf):
+        calls["mww"].append(((wE, wF), bound))
+        return mww(n, wE, wF, bound)
 
     def counted_expand(spec_):
         calls["expand"] += 1
@@ -130,7 +133,9 @@ def test_blocks_built_once_per_ideal(capsys, monkeypatch):
     primes = {p for _, p in reduced}
     assert len(primes) == 2
     assert sorted(reduced) == sorted(itertools.product(quot._blocks, primes))
-    assert sorted(calls["mww"]) == sorted(quot._blocks)
+    assert Counter(calls["mww"]) == Counter(
+        [(w, math.inf) for w in quot._blocks] + [(t, 1) for t in quot._wedges])
+    assert any(quot._wedges.values())
     assert calls["expand"] == 1
     # the blocks are exactly the representatives of the weights used, and
     # the windows use weights off them, so some pieces are transported
@@ -140,6 +145,66 @@ def test_blocks_built_once_per_ideal(capsys, monkeypatch):
     # one ideal's state at a time
     hilbert_oracle(IdealSpec("subpermanents", 3, 2), 2, prime_fields(0)[0])
     assert _graded_quotient.cache_info().currsize == 1
+
+
+def test_wedges_match_brute_force():
+    # the (w - t, wedges) pairs a graded quotient lists for a block weight w,
+    # against every r-subset of the variables grouped by its weight t and
+    # kept when t is at most w, that is when w - t is a weight; every weight
+    # of each degree is taken, not only the dominant ones, so permuted and
+    # transposed weights are covered
+    cases = [(family, n, 4) for family in FAMILIES for n in (1, 2, 3)]
+    cases += [(family, 4, 3) for family in ("subpermanents", "minors")]
+    for family, n, top in cases:
+        spec = IdealSpec(family, n, 1)
+        quot = _graded_quotient(spec)
+
+        def weights(total):
+            if family == "squarefree":
+                return [(w, ()) for w in monomials_dense(n, total)]
+            return list(itertools.product(monomials_dense(n, total),
+                                          repeat=2))
+
+        small = {k: monomials_dense(n, k) for k in (0, 1, 2)}
+        for r in range(top + 1):
+            by_weight = {}
+            met = {}    # when the listing first meets a row weight, a weight
+            for T in itertools.combinations(range(spec.nvars), r):
+                t = quot.weight(n, tuple((v, 1) for v in T))
+                by_weight.setdefault(t, set()).add(T)
+                met.setdefault(t[0], len(met))
+                met.setdefault(t, len(met))
+            for extra in (0, 1, 2):
+                for w in weights(r + extra):
+                    # the weights m = w - t: each part of degree `extra` and
+                    # at most w's (the square-free inner part is empty)
+                    fits = [[m for m in small[extra]
+                             if all(map(operator.le, m, part))]
+                            if part else [()] for part in w]
+                    want = set()
+                    for m in itertools.product(*fits):
+                        t = tuple(tuple(map(operator.sub, a, b))
+                                  for a, b in zip(w, m))
+                        if t in by_weight:
+                            want.add((m, frozenset(by_weight[t])))
+                    listed = list(quot.wedges(r, w))
+                    where = (family, n, r, w)
+                    assert {(m, frozenset(group))
+                            for m, group in listed} == want, where
+                    # and no weight or wedge is listed twice
+                    assert len(listed) == len(want), where
+                    assert sum(len(group) for _, group in listed) == \
+                        sum(len(Ts) for _, Ts in want), where
+                    # the layout order, which steers the rank kernel: by row
+                    # weight, then weight, as the listing meets them, and
+                    # each weight's wedges in the listing's order
+                    order = []
+                    for m, group in listed:
+                        t = tuple(tuple(map(operator.sub, a, b))
+                                  for a, b in zip(w, m))
+                        order.append((met[t[0]], met[t]))
+                        assert group == sorted(group), where
+                    assert order == sorted(order), where
 
 
 def test_transported_pieces_are_quotient_pieces(field):
@@ -284,12 +349,11 @@ def test_grid_blocks_transpose_symmetry(field):
             spec = IdealSpec(family, n, kappa)
             quot = _graded_quotient(spec)
             for i, d in cells:
-                wedges = {r: _wedges(quot, r) for r in (i, i + 1, i + 2)}
                 for wE, wF in itertools.combinations(
                         dominant_weights(d, n), 2):
-                    h = _betti_block(quot, p, cap, wedges, i, (wE, wF))
+                    h = _betti_block(quot, p, cap, i, (wE, wF))
                     assert h == _betti_block(
-                        quot, p, cap, wedges, i, (wF, wE)
+                        quot, p, cap, i, (wF, wE)
                     ), (family, n, kappa, i, d, wE, wF)
                     nonzero += h != 0
         # the comparison is not vacuous: some off-diagonal block has homology
@@ -393,13 +457,12 @@ def test_betti_block_restricted_top_map(field):
     for family, n, i in itertools.product(FAMILIES, (1, 2, 3), (0, 1, 2)):
         for kappa in range(1, n + 1):
             quot = _graded_quotient(IdealSpec(family, n, kappa))
-            wedges = {r: _wedges(quot, r) for r in (i, i + 1, i + 2)}
             blocks = [(d, w) for d in (kappa + i, kappa + i + 1)
                       for w, _ in quot.weights(d)]
             for d, w in blocks:
-                bottom_dim, bottom = _span(quot, p, cap, wedges[i], w)
-                middle_dim, middle = _span(quot, p, cap, wedges[i + 1], w)
-                _, top = _span(quot, p, cap, wedges[i + 2], w)
+                bottom_dim, bottom = _span(quot, p, cap, i, w)
+                middle_dim, middle = _span(quot, p, cap, i + 1, w)
+                _, top = _span(quot, p, cap, i + 2, w)
                 mid = _differential(p, cap, middle, bottom, range(bottom_dim))
                 top_rows = _differential(p, cap, top, middle,
                                          range(middle_dim))
@@ -412,7 +475,7 @@ def test_betti_block_restricted_top_map(field):
                     assert not any(image.values()), where
                 nullity = middle_dim - rank_of_rows(mid, p)
                 rank_top = rank_of_rows(top_rows, p)
-                assert _betti_block(quot, p, cap, wedges, i, w) == \
+                assert _betti_block(quot, p, cap, i, w) == \
                     nullity - rank_top, where
                 restricted += bool(nullity and rank_top)
     # the restriction is exercised, not only the early returns
@@ -430,10 +493,9 @@ def test_chain_groups_match_quotient_dims(field):
                 spec = IdealSpec(family, n, kappa)
                 quot = _graded_quotient(spec)
                 for r in (1, 2, 3):
-                    wedges = _wedges(quot, r)
                     for b in (kappa - 1, kappa, kappa + 1):
                         _, qdim = quotient_basis(spec, b, field)
                         want = comb(spec.nvars, r) * qdim
-                        got = sum(_span(quot, p, cap, wedges, w)[0] * size
+                        got = sum(_span(quot, p, cap, r, w)[0] * size
                                   for w, size in quot.weights(r + b))
                         assert got == want, (family, n, kappa, r, b)
