@@ -1,6 +1,6 @@
 """Persistent result cache: one plain-text file per computed cell, keyed by
-a digest of the cell's parameters (prime included), written by atomic rename
-so concurrent writers are safe.  A fixed fraction (`AUDIT_FRACTION`) of
+a digest of the cell's parameters (the modulus included), written by atomic
+rename so concurrent writers are safe.  A fixed fraction (`AUDIT_FRACTION`) of
 cache hits is audited by recomputing the value; a mismatch means the cache
 or the arithmetic is broken and raises."""
 

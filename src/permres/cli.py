@@ -1,6 +1,10 @@
 """Batch command-line surface with JSON/CSV envelopes, two-prime verified
 oracle values, a persistent result cache, and verification suites.
 
+An oracle value is computed once modulo the product of two random primes,
+which checks both primes in one pass, and one prime at a time only when a
+pivot of that pass is not a unit (see `agree_over_primes`).
+
 Exit codes: 0 success, 2 formula/oracle mismatch, failed verification,
 failed cache audit or three disagreeing primes, 3 resource cap exceeded,
 4 invalid parameters, among them a negative step, degree or
@@ -118,9 +122,11 @@ def _betti_formula(family, n, kappa, i, d):
 def _cells(args, cache_, kind, cells, formula, oracle):
     """One row per cell: the cell's keys, the closed form
     formula(family, n, kappa, *keys), the oracle value
-    oracle(spec, *keys, field, cap=cap) agreed over two primes with each
-    prime's value cached under the cell's keys, and whether the two match.
-    A negative key or cap is rejected before any cell runs."""
+    oracle(spec, *keys, field, cap=cap) agreed over two primes, and whether
+    the two match.  Each value is cached under the cell's keys and its
+    field's modulus: one file for the pass over both primes, or one per
+    prime when the pass falls back.  A negative key or cap is rejected
+    before any cell runs."""
     for cell in cells:
         for key, value in cell.items():
             if value < 0:

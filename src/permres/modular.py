@@ -7,7 +7,15 @@ is the acceptance gate (silent error probability below 2^-30 per entry).
 Rank has one kernel, `rank_of_rows`: sparse Markowitz-style pivots picked
 through a bucket queue of row lengths, in pure Python with no dense finish.
 All eliminations, and so the pivot sequence of every rank, are deterministic
-for a fixed prime.
+for a fixed modulus.
+
+Both primes are checked in one pass.  By the Chinese remainder theorem
+Z/(p1 p2) is F_p1 x F_p2, so an elimination modulo M = p1 p2 whose every
+pivot is a unit is the elimination over both fields at once, with one pivot
+sequence; the kernels pay per dict operation, not per bit, so the second
+prime costs about nothing.  The kernels check every pivot: one divisible by
+p1 or p2 raises `NonUnitPivotError`, and `agree_over_primes` then runs the
+cell over each prime alone.
 """
 
 import heapq
@@ -26,6 +34,19 @@ PRIME_HIGH = 1 << 31
 
 class PrimeDisagreementError(RuntimeError):
     """Three primes gave three different values for the same quantity."""
+
+
+class NonUnitPivotError(ArithmeticError):
+    """A pivot modulo a product of primes is divisible by one of them, so
+    the elimination is no longer the same over each prime."""
+
+
+def _inverse(x, m):
+    """x^-1 mod m; `NonUnitPivotError` when x shares a factor with m."""
+    try:
+        return pow(x, -1, m)
+    except ValueError:
+        raise NonUnitPivotError(f"pivot {x} is not a unit mod {m}") from None
 
 
 def is_prime(m):
@@ -55,8 +76,8 @@ def is_prime(m):
 
 @dataclass(frozen=True)
 class PrimeField:
-    """A prime field with 31-bit modulus, sized so that products of two
-    reduced elements fit in int64 arithmetic."""
+    """A prime field with a 31-bit modulus, drawn at random so that its
+    chance of dividing one of a matrix's minors is small."""
 
     modulus: int
 
@@ -66,6 +87,21 @@ class PrimeField:
             raise ValueError(f"modulus {p} not in (2^30, 2^31)")
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
+
+
+@dataclass(frozen=True)
+class PrimePair:
+    """Two prime fields at once: the ring Z/(p1 p2), which is F_p1 x F_p2.
+    Its `modulus` stands in for a prime in the kernels and the oracles as
+    long as every pivot is a unit.  It is no `PrimeField`, whose modulus
+    must be prime."""
+
+    first: PrimeField
+    second: PrimeField
+
+    @property
+    def modulus(self):
+        return self.first.modulus * self.second.modulus
 
 
 def random_prime_field(rng):
@@ -90,19 +126,22 @@ def prime_fields(seed, count=2):
 
 
 def rank_of_rows(rows, p, *, pivot_rows=None):
-    """Rank over F_p of a matrix given as sparse rows ({col: coeff}).
+    """Rank over F_p of a matrix given as sparse rows ({col: coeff}), or
+    over both fields of a `PrimePair` when p is its modulus: every pivot is
+    then a unit, or `NonUnitPivotError` is raised.
 
     One sparse kernel for every shape: Markowitz-style elimination that
     pivots in the shortest active row (lowest row index among equals), at
     the column of that row with the fewest occupants (lowest column among
-    equals), so the pivot sequence is deterministic for a fixed prime.  The
+    equals), so the pivot sequence is deterministic for a fixed modulus.  The
     shortest row comes from a bucket queue keyed by row length.
 
     `pivot_rows`, if given, is a list that the kernel extends with the input
     positions (0-based, counting zero rows) of its pivot rows: `rank`
-    distinct positions whose rows are linearly independent over F_p.  Each
-    pivot is its input row minus a combination of earlier pivots, so the
-    input rows at those positions span the same space as the pivots.
+    distinct positions whose rows are linearly independent over F_p (over
+    both fields, for a pair).  Each pivot is its input row minus a
+    combination of earlier pivots, so the input rows at those positions span
+    the same space as the pivots.
     """
     active = {}      # input position -> {col: nonzero coeff mod p}
     col_rows = {}    # occupied col -> positions of the active rows using it
@@ -142,13 +181,15 @@ def rank_of_rows(rows, p, *, pivot_rows=None):
             users.discard(i)
             if not users:
                 del col_rows[cc]
+        # every pivot is inverted, also one with no rows to clear: modulo a
+        # product of primes that is the check that it is a unit
+        inv = _inverse(row[c], p)
         occupants = col_rows.pop(c, ())
         if not occupants:
             continue
         # every other column of the pivot row has at least len(occupants)
         # other users (else it would be the pivot column), so its user set
         # still exists whenever an occupant gains an entry in it below
-        inv = pow(row[c], p - 2, p)
         pivot = [(cc, vv * inv % p) for cc, vv in row.items() if cc != c]
         for j in occupants:
             other = active[j]
@@ -179,12 +220,14 @@ def rank_of_rows(rows, p, *, pivot_rows=None):
 
 
 def rref_of_rows(rows, p):
-    """Fully reduced row echelon form.
+    """Fully reduced row echelon form mod p, a prime or the modulus of a
+    `PrimePair`; in the latter case a leading entry that is not a unit
+    raises `NonUnitPivotError`.
 
     Returns {pivot_col: row_dict} where each row has coefficient 1 at its
     pivot and support only on non-pivot columns otherwise.  Pivot columns are
     the leading columns under the natural column order, so the non-pivot set
-    is deterministic for a fixed row order and prime.
+    is deterministic for a fixed row order and modulus.
     """
     pivots = {}
     for row in rows:
@@ -202,7 +245,7 @@ def rref_of_rows(rows, p):
                     elif cc in r:
                         del r[cc]
             else:
-                inv = pow(r[c], p - 2, p)
+                inv = _inverse(r[c], p)
                 pivots[c] = {cc: vv * inv % p for cc, vv in r.items()}
                 break
     # back-substitution: clear pivot columns from earlier pivot rows
@@ -223,13 +266,21 @@ def rref_of_rows(rows, p):
 
 
 def agree_over_primes(compute, seed=0):
-    """Run `compute(field)` over two primes; on disagreement a third prime
-    breaks the tie (the event is logged).  Returns (value, moduli used)."""
-    f1, f2, f3 = prime_fields(seed, 3)
+    """Run `compute(field)` once over the pair of the seed's first two
+    primes.  If a pivot there is not a unit, run it over each prime alone,
+    and on disagreement let a third prime break the tie (the event is
+    logged).  Returns (value, moduli used)."""
+    f1, f2 = prime_fields(seed, 2)
+    try:
+        return compute(PrimePair(f1, f2)), [f1.modulus, f2.modulus]
+    except NonUnitPivotError as exc:
+        log.info("one pass over both primes failed (%s); "
+                 "one prime at a time", exc)
     v1 = compute(f1)
     v2 = compute(f2)
     if v1 == v2:
         return v1, [f1.modulus, f2.modulus]
+    f3 = prime_fields(seed, 3)[2]
     v3 = compute(f3)
     log.warning(
         "prime disagreement: %s (p=%d) vs %s (p=%d); tie-break %s (p=%d)",

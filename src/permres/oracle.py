@@ -14,18 +14,20 @@ the square-free family.  A family enters only through its graded quotient:
 the weight of a monomial (`weight(n, m)`, the one place that decides which
 block a monomial or a wedge lies in), the weights of a degree with their
 orbit multiplicities, and the block's quotient basis with a reduction map mod p
-(`quotient(w, p, cap)`; a block's degree |w| is the sum of w[0]).  The
-ideal's dimension in a block is read off that piece: the block's monomials
-minus its quotient basis.  For the matrix families the ideal's block is
-spanned by the products g * (M / t) over the block's monomials M and the
-generators g whose first term t divides M, and one fully reduced echelon
-form of those rows gives the piece.
+(`quotient(w, p, cap)`; a block's degree |w| is the sum of w[0]).  Here p is
+a prime or the product of the two primes of a `PrimePair`, which gives both
+primes' pieces, and every value, in one pass.  The ideal's dimension in a
+block is read off that piece: the block's monomials minus its quotient
+basis.  For the matrix families the ideal's block is spanned by the
+products g * (M / t) over the block's monomials M and the generators g whose
+first term t divides M, and one fully reduced echelon form of those rows
+gives the piece.
 
 There is one graded quotient per ideal (`_graded_quotient(spec)`, which
 keeps the last ideal's), and it holds all of that ideal's state.  The
-reduced pieces sit in one memo keyed by (weight, prime), so every use of a
-weight sees one basis, and the prime and the cap are arguments of each use;
-the cap is checked on every use.
+reduced pieces sit in one memo keyed by (weight, modulus), so every use of a
+weight sees one basis, and the modulus and the cap are arguments of each
+use; the cap is checked on every use.
 
 Permuting rows and columns (or variables) preserves the ideals, so block
 dimensions only depend on the sorted weight; the transpose x_ij -> x_ji
@@ -35,7 +37,7 @@ families the pair with wF <= wE), and scale its block by the orbit size.
 The same symmetries carry one block's piece onto every block of its orbit,
 and the Koszul windows use weights from every orbit position, so a
 matrix-family ideal eliminates one block per orbit: the representative's
-monomials and integer rows are built once, each prime reduces them once,
+monomials and integer rows are built once, each modulus reduces them once,
 and every other weight of the orbit relabels the representative's
 monomials once and reads its piece off the representative's echelon form
 by position.  The independent references are outside this module:
@@ -126,7 +128,7 @@ class _GridQuotient:
     by position, each weight's monomials relabelled from its
     representative's, one memo of each weight's piece, keyed by (w, p), and
     each wedge weight's wedges.  So every cell and step of an ideal shares
-    the blocks, and each prime reduces each orbit once."""
+    the blocks, and each modulus reduces each orbit once."""
 
     @staticmethod
     def weight(n, m):
@@ -316,7 +318,7 @@ class _SquarefreeQuotient:
             yield (rest, ()), [T]
 
 
-# one ideal at a time: a CLI invocation has one ideal, so every prime, cell
+# one ideal at a time: a CLI invocation has one ideal, so every modulus, cell
 # and step of it shares the quotient, and memory stays bounded by one
 # ideal's blocks and pieces
 @functools.lru_cache(maxsize=1)
@@ -355,8 +357,11 @@ def _differential(p, cap, source, target, columns):
     map straight onto the positions after T minus v's offset (no layout
     entry: that piece is zero).  Distinct v give distinct wedges and the
     map's coefficients are nonzero mod p, so each entry is written once and
-    none is zero.  Target position j becomes column `columns[j]`, or is
-    dropped where that is None; `cap` bounds the nonzeros of the full map."""
+    none is zero mod p.  Modulo the product of a `PrimePair` an entry can
+    still be zero modulo one of its primes; the rank kernel keeps it, and
+    raises if it is ever a pivot.  Target position j becomes column
+    `columns[j]`, or is dropped where that is None; `cap` bounds the
+    nonzeros of the full map."""
     rows = []
     nnz = 0
     for T, (_, qbasis, _) in source.items():
@@ -467,6 +472,11 @@ def betti_oracle(spec, i, d, field_, *, cap=DEFAULT_NNZ_CAP):
         raise ValueError("step must be nonnegative")
     if i + 1 > spec.nvars:
         # Lambda^(i+1) of the variables is 0: every window's middle is 0
+        return 0
+    if spec.family == "squarefree" and d > spec.n:
+        # the Taylor resolution of a square-free monomial ideal lives in the
+        # lcm multidegrees of its generators, which are square-free, so no
+        # Betti number lies above degree n
         return 0
     quot = _graded_quotient(spec)
     total = 0

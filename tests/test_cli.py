@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from permres import __version__, cache, cli, lascoux
+from permres import __version__, cache, cli, lascoux, oracle
 from permres.cache import HEADER_PREFIX, ResultCache
 from permres.cli import (
     EXIT_INVALID,
@@ -19,6 +19,7 @@ from permres.cli import (
     _parse_range,
     main,
 )
+from permres.modular import NonUnitPivotError, PrimePair, prime_fields
 from permres.tensorspace import ResourceCapError
 
 
@@ -340,7 +341,7 @@ def test_cache_corruption_exit_code(capsys, tmp_path, monkeypatch):
     assert code == EXIT_OK and env["results"][0]["oracle"] == 77
     paths = [os.path.join(root, f) for root, _, fs in os.walk(str(tmp_path))
              for f in fs]
-    assert len(paths) == 2  # one file per prime
+    assert len(paths) == 1  # one file per cell, for both primes at once
     for path in paths:
         with open(path) as fh:
             header = fh.readline()
@@ -357,9 +358,14 @@ def test_cache_corruption_exit_code(capsys, tmp_path, monkeypatch):
 
 
 def test_prime_disagreement_exit_code(capsys, tmp_path, monkeypatch):
-    # a compute whose value depends on the prime: all three primes disagree
-    monkeypatch.setattr(cli, "betti_oracle",
-                        lambda spec, i, d, field_, cap: field_.modulus)
+    # a compute that meets a non-unit pivot over the pair of primes and whose
+    # value depends on the prime: all three primes of the fallback disagree
+    def disagreeing(spec, i, d, field_, cap):
+        if isinstance(field_, PrimePair):
+            raise NonUnitPivotError("planted non-unit pivot")
+        return field_.modulus
+
+    monkeypatch.setattr(cli, "betti_oracle", disagreeing)
     code, env = run_json(
         capsys, "betti", "--family", "minors", "-n", "3", "-k", "2",
         "--steps", "1", "--mode", "oracle", "--cache-dir", str(tmp_path),
@@ -447,13 +453,50 @@ def test_cache_reuse_and_audit(capsys, tmp_path):
     code2, env2 = run_json(capsys, *argv)
     assert code1 == code2 == EXIT_OK
     assert env1["results"] == env2["results"]
-    # one file per (prime, cell), named by the documented key fields
+    # one file per cell, keyed by the product of the two primes and named
+    # by the documented key fields
+    files = {f for _, _, fs in os.walk(str(tmp_path)) for f in fs}
+    key = ResultCache(None, __version__).key
+    p1, p2 = env1["primes"]
+    assert files == {
+        key(prime=p1 * p2, kind="hilbert", family="squarefree", n=4, kappa=2,
+            t=t) + ".txt"
+        for t in range(2, 6)
+    }
+
+
+def test_fallback_per_prime_matches_one_pass(capsys, tmp_path, monkeypatch):
+    # a real cell whose rank kernel meets a non-unit pivot over the pair of
+    # primes runs over each prime alone: same results and primes as the one
+    # pass, and one cache file per prime and cell
+    argv = ["betti", "--family", "subpermanents", "-n", "3", "-k", "2",
+            "--steps", "0..2", "--mode", "oracle"]
+    code, one_pass = run_json(capsys, *argv, "--cache-dir", "none")
+    assert code == EXIT_OK
+    rank = oracle.rank_of_rows
+    pair = PrimePair(*prime_fields(0, 2))
+    raised = []
+
+    def non_unit_at_pair(rows, p, **kwargs):
+        if p == pair.modulus:
+            raised.append(p)
+            raise NonUnitPivotError("planted non-unit pivot")
+        return rank(rows, p, **kwargs)
+
+    monkeypatch.setattr(oracle, "rank_of_rows", non_unit_at_pair)
+    oracle._graded_quotient.cache_clear()
+    code, fallback = run_json(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == EXIT_OK
+    assert len(raised) == 3  # each cell tried the pair first
+    assert fallback["results"] == one_pass["results"]
+    assert fallback["primes"] == one_pass["primes"] == \
+        [pair.first.modulus, pair.second.modulus]
     files = {f for _, _, fs in os.walk(str(tmp_path)) for f in fs}
     key = ResultCache(None, __version__).key
     assert files == {
-        key(prime=p, kind="hilbert", family="squarefree", n=4, kappa=2, t=t)
-        + ".txt"
-        for p in env1["primes"] for t in range(2, 6)
+        key(prime=p, kind="betti", family="subpermanents", n=3, kappa=2,
+            step=i, degree=2 + i) + ".txt"
+        for p in one_pass["primes"] for i in range(3)
     }
 
 
@@ -495,6 +538,20 @@ def test_betti_past_the_exterior_algebra(capsys):
     code, env = run_json(
         capsys, "betti", "--family", "squarefree", "-n", "3", "-k", "2",
         "--steps", "2000", "--cache-dir", "none")
+    assert time.perf_counter() - started < 1
+    assert code == EXIT_OK
+    (row,) = env["results"]
+    assert row["oracle"] == 0 and row["match"] is True
+
+
+def test_squarefree_betti_far_above_n(capsys):
+    # a square-free monomial ideal has Betti numbers only in square-free
+    # multidegrees, so degree 3000 in 3 variables is 0 at once, without
+    # walking its weights
+    started = time.perf_counter()
+    code, env = run_json(
+        capsys, "betti", "--family", "squarefree", "-n", "3", "-k", "2",
+        "--steps", "1", "--deg", "3000", "--cache-dir", "none")
     assert time.perf_counter() - started < 1
     assert code == EXIT_OK
     (row,) = env["results"]

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permres.modular import (
+    NonUnitPivotError,
     PrimeDisagreementError,
     PrimeField,
+    PrimePair,
     agree_over_primes,
     is_prime,
     prime_fields,
@@ -237,6 +239,14 @@ def test_rank_kernel_property(nrows, per_row, data):
             for _ in range(nrows)]
     got = rank_of_rows(rows, p)
     assert got == dense_rank(rows, ncols, p)
+    # modulo p * q the kernel either raises or gives the rank mod p and mod q
+    pair = PrimePair(*prime_fields(0, 2))
+    try:
+        at_pair = rank_of_rows(rows, pair.modulus)
+    except NonUnitPivotError:
+        pass
+    else:
+        assert at_pair == got == rank_of_rows(rows, pair.second.modulus)
     # permute rows and columns, scale each row by a nonzero constant
     perm = list(range(ncols))
     rng.shuffle(perm)
@@ -276,26 +286,123 @@ def test_rref_reduction_identity():
 
 
 def test_agree_over_primes_happy_path():
-    value, primes = agree_over_primes(lambda f: 42, seed=1)
+    seen = []
+
+    def compute(field_):
+        seen.append(field_)
+        return 42
+
+    value, primes = agree_over_primes(compute, seed=1)
+    f1, f2 = prime_fields(1, 2)
     assert value == 42
-    assert len(primes) == 2 and primes[0] != primes[1]
+    assert primes == [f1.modulus, f2.modulus] and primes[0] != primes[1]
+    # one pass over both primes at once
+    assert seen == [PrimePair(f1, f2)]
+    assert seen[0].modulus == f1.modulus * f2.modulus
+
+
+def _per_prime(values):
+    """A compute that raises `NonUnitPivotError` on the pair of primes, as
+    an elimination with a non-unit pivot does, then gives `values` in turn
+    over single primes; `seen` records every field it was called with."""
+    values = iter(values)
+    seen = []
+
+    def compute(field_):
+        seen.append(field_)
+        if isinstance(field_, PrimePair):
+            raise NonUnitPivotError("planted non-unit pivot")
+        return next(values)
+
+    return compute, seen
+
+
+def test_agree_over_primes_falls_back_per_prime():
+    compute, seen = _per_prime([5, 5])
+    value, primes = agree_over_primes(compute, seed=1)
+    f1, f2 = prime_fields(1, 2)
+    assert value == 5
+    assert primes == [f1.modulus, f2.modulus]
+    assert seen == [PrimePair(f1, f2), f1, f2]
 
 
 def test_agree_over_primes_tie_break(caplog):
-    calls = []
-
-    def flaky(field_):
-        calls.append(field_.modulus)
-        return 7 if len(calls) == 1 else 8
-
+    compute, seen = _per_prime([7, 8, 8])
     with caplog.at_level("WARNING", logger="permres.modular"):
-        value, primes = agree_over_primes(flaky, seed=1)
+        value, primes = agree_over_primes(compute, seed=1)
     assert value == 8
     assert len(primes) == 3
     assert any("disagreement" in r.message for r in caplog.records)
+    # the fallback ran: the pair first, then each prime, in the order listed
+    assert isinstance(seen[0], PrimePair)
+    assert [f.modulus for f in seen[1:]] == primes == \
+        [f.modulus for f in prime_fields(1, 3)]
 
 
 def test_agree_over_primes_triple_disagreement():
-    counter = iter((1, 2, 3))
+    compute, seen = _per_prime([1, 2, 3])
     with pytest.raises(PrimeDisagreementError):
-        agree_over_primes(lambda f: next(counter), seed=1)
+        agree_over_primes(compute, seed=1)
+    assert isinstance(seen[0], PrimePair) and len(seen) == 4
+
+
+def _crt(a, b, p, q):
+    """The residue mod p * q that is a mod p and b mod q."""
+    return a + p * ((b - a) * pow(p, -1, q) % q)
+
+
+def test_non_unit_single_entry_raises():
+    # a row that is zero mod p only, with no other row in its column: the
+    # kernel must still check its pivot, or it would count rank 1 mod p
+    f1, f2 = prime_fields(0, 2)
+    p, q = f1.modulus, f2.modulus
+    rows = [{0: p}]
+    assert rank_of_rows(rows, p) == 0
+    assert rank_of_rows(rows, q) == 1
+    with pytest.raises(NonUnitPivotError):
+        rank_of_rows(rows, p * q)
+    with pytest.raises(NonUnitPivotError):
+        rank_of_rows(rows, p * q, pivot_rows=[])
+    with pytest.raises(NonUnitPivotError):
+        rref_of_rows(rows, p * q)
+    assert rref_of_rows(rows, p) == {}
+    assert rref_of_rows(rows, q) == {0: {0: 1}}
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_rank_drop_mod_one_prime_raises(seed):
+    # a matrix built by the Chinese remainder theorem from a planted rank
+    # 105 mod p and generic rows mod q: the rank drops mod p only, so the
+    # elimination modulo p * q meets a non-unit pivot in both kernels
+    f1, f2 = prime_fields(0, 2)
+    p, q = f1.modulus, f2.modulus
+    rng = random.Random(seed)
+    low = _product(_sparse_factor(rng, 120, 105, 1, p),
+                   _sparse_factor(rng, 105, 120, 3, p), p)
+    high = [{c: rng.randrange(1, q) for c in row} for row in low]
+    rows = [{c: _crt(v, high[k][c], p, q) for c, v in row.items()}
+            for k, row in enumerate(low)]
+    assert rank_of_rows(rows, p) == 105 == _dense_rank_of_used_columns(rows, p)
+    full = rank_of_rows(rows, q)
+    assert full == _dense_rank_of_used_columns(rows, q) > 105
+    with pytest.raises(NonUnitPivotError):
+        rank_of_rows(rows, p * q)
+    with pytest.raises(NonUnitPivotError):
+        rref_of_rows(rows, p * q)
+    assert len(rref_of_rows(rows, p)) == 105
+    assert len(rref_of_rows(rows, q)) == full
+
+
+def test_pair_elimination_reduces_to_each_prime():
+    # with unit pivots, the elimination modulo p * q is both eliminations:
+    # its rank is both ranks, and its echelon form reduces to each prime's
+    f1, f2 = prime_fields(0, 2)
+    p, q = f1.modulus, f2.modulus
+    rows = _simplex_boundary(9, 3)
+    assert rank_of_rows(rows, p * q) == rank_of_rows(rows, p) == \
+        rank_of_rows(rows, q) == math.comb(8, 3)
+    at_pair = rref_of_rows(rows, p * q)
+    for m in (p, q):
+        reduced = {c: {cc: v % m for cc, v in row.items() if v % m}
+                   for c, row in at_pair.items()}
+        assert reduced == rref_of_rows(rows, m)

@@ -100,8 +100,9 @@ def test_blocks_built_once_per_ideal(capsys, monkeypatch):
     # one graded quotient holds an ideal's state across cells, steps and
     # commands: the generators are expanded once, each orbit
     # representative's basis and each wedge weight's 0/1 matrices are
-    # enumerated once, and each prime reduces each representative's block
-    # once; every other weight is relabelled
+    # enumerated once, and the one modulus, the product of both primes,
+    # reduces each representative's block once; every other weight is
+    # relabelled
     calls = {"mww": [], "expand": 0, "rref": []}
     mww, expand, rref = (oracle.monomials_with_weight,
                          oracle.expand_generators, oracle.rref_of_rows)
@@ -130,9 +131,9 @@ def test_blocks_built_once_per_ideal(capsys, monkeypatch):
     # the rows a call reduces are the block's own, so they name its weight
     weight_of = {id(rows): w for w, (_, rows, _) in quot._blocks.items()}
     reduced = [(weight_of[key], p) for key, p in calls["rref"]]
-    primes = {p for _, p in reduced}
-    assert len(primes) == 2
-    assert sorted(reduced) == sorted(itertools.product(quot._blocks, primes))
+    moduli = {p for _, p in reduced}
+    assert moduli == {math.prod(f.modulus for f in prime_fields(0, 2))}
+    assert sorted(reduced) == sorted(itertools.product(quot._blocks, moduli))
     assert Counter(calls["mww"]) == Counter(
         [(w, math.inf) for w in quot._blocks] + [(t, 1) for t in quot._wedges])
     assert any(quot._wedges.values())
@@ -396,6 +397,18 @@ def test_betti_matches_naive_whole_space_computation(field):
         assert betti_oracle(spec, i, d, field) == naive_betti(
             spec, i, d, field
         ), (family, n, kappa, i, d)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_squarefree_betti_vanishes_above_n(field, n):
+    # the whole-space reference agrees that a square-free monomial ideal has
+    # no Betti number in degree above n, which the oracle returns at once
+    for kappa in range(1, n + 1):
+        spec = IdealSpec("squarefree", n, kappa)
+        for i in range(n):
+            for d in (n + 1, n + 2):
+                assert betti_oracle(spec, i, d, field) == naive_betti(
+                    spec, i, d, field) == 0, (n, kappa, i, d)
 
 
 def test_betti_two_primes_agree(field_pair):
