@@ -289,7 +289,9 @@ def build_parser():
     shared.add_argument("--expensive", action="store_true",
                         help="lift resource caps for large cells")
     shared.add_argument("--cap-nonzeros", type=int, default=DEFAULT_NNZ_CAP,
-                        help="per-matrix nonzero cap for oracle cells")
+                        help="per-matrix nonzero cap for oracle cells: "
+                             "each ideal block, and each Koszul differential "
+                             "of the side each block is computed on")
 
     ideal = argparse.ArgumentParser(add_help=False)
     ideal.add_argument("--family", required=True)

@@ -54,16 +54,36 @@ family, the r-subsets of w's support.  So a window looks up one quotient
 piece per weight t that some wedge has, and no wedge outside every window is
 listed.
 
+A block can be computed on either side of 0 -> I -> S -> S/I -> 0.  S is
+free, so the long exact Tor sequence gives Tor_(i+1)(S/I) = Tor_i(I) at
+every step i: the homology of the quotient window
+Lambda^(i+2) (x) (S/I)_(d-i-2) -> Lambda^(i+1) (x) (S/I)_(d-i-1)
+-> Lambda^i (x) (S/I)_(d-i) is that of the ideal window
+Lambda^(i+1) (x) I_(d-i-1) -> Lambda^i (x) I_(d-i)
+-> Lambda^(i-1) (x) I_(d-i+1).
+Both sides list the wedges at r = i and i + 1 with the same pieces, so one
+pass over them gives both middle dimensions, and each block takes the side
+whose middle is smaller; a block whose smaller middle is 0 has no homology.
+The ideal's piece is read off the memoised quotient piece, with no second
+elimination: each monomial P outside the quotient basis gives
+b_P = P - sum_k c_k u_k from its rewriting sum_k c_k u_k, the b_P are a
+basis of the ideal's piece, and an element of the ideal has its
+coefficients at those P as coordinates.  The ideal side's middle map is
+written into monomial coordinates of Lambda^(i-1) (x) S, numbered as they
+are met: I is a subspace of S, so the rank is the same, and no piece of
+degree d-i+1 is listed or eliminated.
+
 A block's homology is the nullity of its middle map minus the rank of its
 top map, and the middle map is ranked first.  A block with nullity 0 stops
 there.  Otherwise the top map is ranked only on the middle coordinates that
 are not pivot rows of the middle map, the "compression" of persistent
 homology codes (Bauer, Kerber and Reininghaus, arXiv:1303.0477).  That loses
-nothing over any prime: the top map's image lies in the middle map's
-kernel, which meets the span of the pivot coordinates only in 0.  The
-restricted top map has only nullity columns.
+nothing over any prime, on either side: the top map's image lies in the
+middle map's kernel, which meets the span of the pivot coordinates only in
+0.  The restricted top map has only nullity columns.
 """
 
+import collections
 import functools
 import itertools
 import operator
@@ -333,61 +353,117 @@ def _graded_quotient(spec):
 
 
 def _span(quot, p, cap, r, w):
-    """Layout of the weight-w block of Lambda^r (x) S/I: its dimension and
-    {wedge: (offset, quotient basis, reduction map)} for the wedges whose
-    quotient piece is nonzero.  The basis vector (T, u) sits at T's offset
-    plus u's position in the piece, in the order of the wedges.  The pieces
-    have degree |w| - r; below r no wedge fits under w."""
-    layout = {}
-    dim = 0
+    """The weight-w block of Lambda^r (x) S, which 0 -> I -> S -> S/I -> 0
+    splits into its blocks of Lambda^r (x) S/I and Lambda^r (x) I:
+    ([(wedges, quotient basis, reduction map)] over the groups of wedges
+    sharing a piece, in the order of the wedges, the quotient dimension,
+    the ideal dimension).  The pieces have degree |w| - r; below r no wedge
+    fits under w."""
+    pieces = []
+    qdim = idim = 0
     for m, group in quot.wedges(r, w):
         qbasis, reduce_map = quot.quotient(m, p, cap)
-        if qbasis:
+        qdim += len(qbasis) * len(group)
+        idim += (len(reduce_map) - len(qbasis)) * len(group)
+        pieces.append((group, qbasis, reduce_map))
+    return pieces, qdim, idim
+
+
+def _side(p, qbasis, reduce_map, ideal):
+    """(basis, read) of one piece on one side.  A basis element is a tuple
+    of (monomial, coefficient) terms, and `read` gives each monomial of the
+    piece its coordinates, {position: coefficient}.  On the quotient side
+    the basis is the quotient basis and `read` the reduction map.  On the
+    ideal side the basis is b_P = P - sum_k reduce_map[P][k] qbasis[k] over
+    the non-standard monomials P, and `read` takes P to {P's position: 1}
+    and a standard monomial to nothing: the b_P span I's piece, and an
+    element of it has its coefficients at the non-standard monomials as
+    coordinates."""
+    if not ideal:
+        return [((u, 1),) for u in qbasis], reduce_map
+    read = dict.fromkeys(qbasis, {})
+    basis = []
+    for P, coeffs in reduce_map.items():
+        if P not in read:
+            read[P] = {len(basis): 1}
+            basis.append(((P, 1),) + tuple((qbasis[k], p - c)
+                                           for k, c in coeffs.items()))
+    return basis, read
+
+
+def _layout(p, pieces, ideal):
+    """One side of a window's pieces laid out by offsets: its dimension and
+    {wedge: (offset, basis, read)} for the wedges whose piece on that side
+    is nonzero (see `_side`).  The basis element k of T's piece sits at T's
+    offset plus k, in the order of the wedges."""
+    layout = {}
+    dim = 0
+    for group, qbasis, reduce_map in pieces:
+        basis, read = _side(p, qbasis, reduce_map, ideal)
+        if basis:
             for T in group:
-                layout[T] = (dim, qbasis, reduce_map)
-                dim += len(qbasis)
+                layout[T] = (dim, basis, read)
+                dim += len(basis)
     return dim, layout
 
 
-def _differential(p, cap, source, target, columns):
-    """Rows mod p of the Koszul differential from the window layout `source`
-    to `target`, one per source basis vector in layout order: (T, u) goes
-    to the sum over a of (-1)^a (T minus T[a], u x_T[a]), and u x_v lies in
-    the quotient piece paired with T minus v, so it reduces by that piece's
-    map straight onto the positions after T minus v's offset (no layout
-    entry: that piece is zero).  Distinct v give distinct wedges and the
-    map's coefficients are nonzero mod p, so each entry is written once and
-    none is zero mod p.  Modulo the product of a `PrimePair` an entry can
-    still be zero modulo one of its primes; the rank kernel keeps it, and
-    raises if it is ever a pivot.  Target position j becomes column
-    `columns[j]`, or is dropped where that is None; `cap` bounds the
-    nonzeros of the full map."""
+def _monomial_coordinates():
+    """Lambda^r (x) S in monomial coordinates, as a differential's target:
+    each wedge reads every monomial m as {column of (wedge, m): 1}, and the
+    columns are numbered as the differential meets them, so no piece of S
+    is listed or eliminated."""
+    columns = itertools.count()
+    faces = collections.defaultdict(lambda: (0, None, collections.defaultdict(
+        lambda: {next(columns): 1})))
+    return faces.__getitem__
+
+
+def _differential(p, cap, source, target, columns=None):
+    """Rows mod p of the Koszul differential from the laid-out side
+    `source` into `target`, one per source basis element in layout order:
+    (T, b) goes to the sum over a of (-1)^a (T minus T[a], b x_T[a]).
+    `target(wedge)` is that wedge's (offset, _, read) or None where its
+    piece is zero, and b x_v is read term by term straight onto the
+    positions after T minus v's offset.  Distinct terms and distinct v
+    give distinct columns on either side, so each entry is written once,
+    and an entry zero mod p is left out.  Modulo the product of a
+    `PrimePair` an entry can still be zero modulo one of its primes; the
+    rank kernel keeps it, and raises if it is ever a pivot.  Position j
+    becomes column `columns[j]`, or is dropped where that is None, when
+    `columns` is given; `cap` bounds the nonzeros of the full map."""
     rows = []
     nnz = 0
-    for T, (_, qbasis, _) in source.items():
+    for T, (_, basis, _) in source.items():
         faces = []
         for a, v in enumerate(T):
-            face = target.get(T[:a] + T[a + 1:])
+            face = target(T[:a] + T[a + 1:])
             if face is not None:
                 faces.append((v, a % 2, face[0], face[2]))
-        for u in qbasis:
+        for b in basis:
             row = {}
-            for v, odd, offset, reduce_map in faces:
-                coeffs = reduce_map[mono_times_var(u, v)]
-                nnz += len(coeffs)
-                for j, c in coeffs.items():
-                    k = columns[offset + j]
-                    if k is not None:
-                        row[k] = p - c if odd else c
+            for v, odd, offset, read in faces:
+                for u, a in b:
+                    coeffs = read[mono_times_var(u, v)]
+                    nnz += len(coeffs)
+                    for j, c in coeffs.items():
+                        k = offset + j
+                        if columns is not None:
+                            k = columns[k]
+                            if k is None:
+                                continue
+                        c = c * a % p
+                        if c:
+                            row[k] = p - c if odd else c
             rows.append(row)
     check_cap(nnz, cap, "Koszul window nonzeros")
     return rows
 
 
 def _betti_block(quot, p, cap, i, w):
-    """Homology dimension mod p of the weight-w block of the Koszul window
-    Lambda^(i+2) (x) (S/I)_(d-i-2) -> Lambda^(i+1) (x) (S/I)_(d-i-1)
-    -> Lambda^i (x) (S/I)_(d-i), where d = |w|.
+    """Homology dimension mod p of the weight-w block at step i, d = |w|,
+    on whichever side of 0 -> I -> S -> S/I -> 0 has the smaller middle,
+    Lambda^(i+1) (x) (S/I)_(d-i-1) or Lambda^i (x) I_(d-i); a block whose
+    smaller middle is 0 has no homology.
 
     The middle map is ranked first, and its nullity bounds the homology: at
     0 the block is done.  Otherwise the top map is ranked on the middle
@@ -397,25 +473,32 @@ def _betti_block(quot, p, cap, i, w):
     only in 0, since the rows in R map to independent vectors.  So dropping
     those coordinates is one-to-one on the image, over every prime, and the
     restricted top map has only nullity columns.  The cap bounds each full
-    differential."""
-    middle_dim, middle = _span(quot, p, cap, i + 1, w)
-    if not middle_dim:
+    differential of the side taken."""
+    lower, _, ideal_middle = _span(quot, p, cap, i, w)
+    upper, quotient_middle, _ = _span(quot, p, cap, i + 1, w)
+    if not min(quotient_middle, ideal_middle):
         return 0
-    bottom_dim, bottom = _span(quot, p, cap, i, w)
+    ideal = ideal_middle < quotient_middle
+    if ideal:
+        middle, top, bottom = lower, upper, _monomial_coordinates()
+    else:
+        middle, top, bottom = upper, None, _layout(p, lower, False)[1].get
+    middle_dim, middle = _layout(p, middle, ideal)
     pivots = []
     nullity = middle_dim - rank_of_rows(
-        _differential(p, cap, middle, bottom, range(bottom_dim)), p,
-        pivot_rows=pivots)
+        _differential(p, cap, middle, bottom), p, pivot_rows=pivots)
     if not nullity:
         return 0
-    top_dim, top = _span(quot, p, cap, i + 2, w)
+    if top is None:
+        top = _span(quot, p, cap, i + 2, w)[0]
+    top_dim, top = _layout(p, top, ideal)
     if not top_dim:
         return nullity
     pivots = set(pivots)
     free = itertools.count()
     columns = [None if j in pivots else next(free) for j in range(middle_dim)]
     return nullity - rank_of_rows(
-        _differential(p, cap, top, middle, columns), p)
+        _differential(p, cap, top, middle.get, columns), p)
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +546,14 @@ def quotient_basis(spec, t, field_, cap=DEFAULT_NNZ_CAP):
 def betti_oracle(spec, i, d, field_, *, cap=DEFAULT_NNZ_CAP):
     """Graded Betti number b_{i,d} of the ideal, as the Koszul homology of
     Lambda^(i+2) (x) (S/I)_(d-i-2) -> Lambda^(i+1) (x) (S/I)_(d-i-1)
-    -> Lambda^i (x) (S/I)_(d-i): nullity of the second map minus rank of the
-    first.  One block is computed per orbit of weights (per orbit of weight
-    pairs under row and column permutations and the transpose for the
-    matrix families) and scaled by the orbit size.  `cap` bounds the
-    nonzeros of each ideal block and of each differential."""
+    -> Lambda^i (x) (S/I)_(d-i), or of the ideal window
+    Lambda^(i+1) (x) I_(d-i-1) -> Lambda^i (x) I_(d-i)
+    -> Lambda^(i-1) (x) I_(d-i+1), block by block on the side with the
+    smaller middle: nullity of the second map minus rank of the first.  One
+    block is computed per orbit of weights (per orbit of weight pairs under
+    row and column permutations and the transpose for the matrix families)
+    and scaled by the orbit size.  `cap` bounds the nonzeros of each ideal
+    block and of each differential of the side each block takes."""
     if i < 0:
         raise ValueError("step must be nonnegative")
     if i + 1 > spec.nvars:

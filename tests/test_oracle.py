@@ -21,6 +21,8 @@ from permres.oracle import (
     _differential,
     _GridQuotient,
     _graded_quotient,
+    _layout,
+    _monomial_coordinates,
     _span,
     betti_oracle,
     dominant_weights,
@@ -450,55 +452,102 @@ def test_betti_rejects_negative_step(field):
 def test_betti_window_cap(field):
     # the cap bounds each Koszul differential, not only the ideal blocks:
     # the square-free window has no ideal block at all, and every ideal
-    # block of the sub-permanent window stays within 50 nonzeros while its
-    # largest differential holds 66
+    # block of the sub-permanent window stays within 2 nonzeros while the
+    # largest differential of the side its blocks take holds 48
     with pytest.raises(ResourceCapError):
         betti_oracle(IdealSpec("squarefree", 5, 3), 2, 5, field, cap=1)
-    with pytest.raises(ResourceCapError):
-        betti_oracle(IdealSpec("subpermanents", 3, 2), 2, 4, field, cap=50)
+    with pytest.raises(ResourceCapError, match="Koszul window"):
+        betti_oracle(IdealSpec("subpermanents", 3, 2), 2, 4, field, cap=47)
     assert betti_oracle(IdealSpec("subpermanents", 3, 2), 2, 4, field,
-                        cap=66) == 0
+                        cap=48) == 0
+
+
+def _window_maps(quot, p, cap, i, w, ideal):
+    """The middle dimension, middle map and unrestricted top map of the
+    weight-w block at step i on one side of 0 -> I -> S -> S/I."""
+    lower = _span(quot, p, cap, i, w)[0]
+    upper = _span(quot, p, cap, i + 1, w)[0]
+    if ideal:
+        bottom = _monomial_coordinates()
+        middle_dim, middle = _layout(p, lower, True)
+        _, top = _layout(p, upper, True)
+    else:
+        bottom = _layout(p, lower, False)[1].get
+        middle_dim, middle = _layout(p, upper, False)
+        _, top = _layout(p, _span(quot, p, cap, i + 2, w)[0], False)
+    return (middle_dim, _differential(p, cap, middle, bottom),
+            _differential(p, cap, top, middle.get))
 
 
 def test_betti_block_restricted_top_map(field):
-    # `_betti_block` ranks the top map only on the middle coordinates off
-    # the middle map's pivot rows, which is exact when the top map's image
-    # lies in the middle map's kernel: check that precondition, and the
-    # block against nullity minus the rank of the unrestricted top map
+    # `_betti_block` takes one side of 0 -> I -> S -> S/I per block and
+    # ranks the top map only on the middle coordinates off the middle map's
+    # pivot rows, which is exact when the top map's image lies in the middle
+    # map's kernel: check that precondition on both sides, and that both
+    # sides' nullity minus the rank of the unrestricted top map agree with
+    # each other and with the block
     p, cap = field.modulus, DEFAULT_NNZ_CAP
-    restricted = 0
+    restricted = Counter()
     for family, n, i in itertools.product(FAMILIES, (1, 2, 3), (0, 1, 2)):
         for kappa in range(1, n + 1):
             quot = _graded_quotient(IdealSpec(family, n, kappa))
             blocks = [(d, w) for d in (kappa + i, kappa + i + 1)
                       for w, _ in quot.weights(d)]
             for d, w in blocks:
-                bottom_dim, bottom = _span(quot, p, cap, i, w)
-                middle_dim, middle = _span(quot, p, cap, i + 1, w)
-                _, top = _span(quot, p, cap, i + 2, w)
-                mid = _differential(p, cap, middle, bottom, range(bottom_dim))
-                top_rows = _differential(p, cap, top, middle,
-                                         range(middle_dim))
-                where = (family, n, kappa, i, d, w)
-                for row in top_rows:
-                    image = {}
-                    for j, v in row.items():
-                        for k, c in mid[j].items():
-                            image[k] = (image.get(k, 0) + v * c) % p
-                    assert not any(image.values()), where
-                nullity = middle_dim - rank_of_rows(mid, p)
-                rank_top = rank_of_rows(top_rows, p)
-                assert _betti_block(quot, p, cap, i, w) == \
-                    nullity - rank_top, where
-                restricted += bool(nullity and rank_top)
-    # the restriction is exercised, not only the early returns
-    assert restricted > 100, restricted
+                homology = []
+                for ideal in (False, True):
+                    middle_dim, mid, top_rows = _window_maps(
+                        quot, p, cap, i, w, ideal)
+                    where = (family, n, kappa, i, d, w, ideal)
+                    for row in top_rows:
+                        image = {}
+                        for j, v in row.items():
+                            for k, c in mid[j].items():
+                                image[k] = (image.get(k, 0) + v * c) % p
+                        assert not any(image.values()), where
+                    nullity = middle_dim - rank_of_rows(mid, p)
+                    rank_top = rank_of_rows(top_rows, p)
+                    homology.append(nullity - rank_top)
+                    restricted[ideal] += bool(nullity and rank_top)
+                assert _betti_block(quot, p, cap, i, w) == homology[0] == \
+                    homology[1], (family, n, kappa, i, d, w)
+    # the restriction is exercised on both sides, not only the early returns
+    assert min(restricted.values()) > 100, restricted
+
+
+@pytest.mark.parametrize("i, d", [(1, 4), (3, 6)])
+def test_betti_block_takes_smaller_middle(field, monkeypatch, i, d):
+    # each block ranks its middle map first, on the side whose middle is
+    # smaller, Lambda^(i+1) (x) S/I or Lambda^i (x) I; a block whose smaller
+    # middle is 0 ranks nothing.  These cells' blocks split between the
+    # sides.
+    p, cap = field.modulus, DEFAULT_NNZ_CAP
+    calls = []
+
+    def counted_rank(rows, p_, **kwargs):
+        calls.append(len(rows))
+        return rank_of_rows(rows, p_, **kwargs)
+
+    monkeypatch.setattr(oracle, "rank_of_rows", counted_rank)
+    quot = _graded_quotient(IdealSpec("subpermanents", 4, 2))
+    sides = Counter()
+    for w, _ in quot.weights(d):
+        quotient_middle = _span(quot, p, cap, i + 1, w)[1]
+        ideal_middle = _span(quot, p, cap, i, w)[2]
+        calls.clear()
+        _betti_block(quot, p, cap, i, w)
+        smaller = min(quotient_middle, ideal_middle)
+        assert calls[:1] == ([smaller] if smaller else []), w
+        if smaller:
+            sides[(quotient_middle > ideal_middle) -
+                  (quotient_middle < ideal_middle)] += 1
+    assert sides[1] and sides[-1], sides
 
 
 def test_chain_groups_match_quotient_dims(field):
     # summed over the (weight, multiplicity) list of a degree, the window's
-    # blocks of Lambda^r (x) (S/I)_b make up the whole chain group, of
-    # dimension C(N, r) * dim (S/I)_b
+    # blocks of Lambda^r (x) (S/I)_b and Lambda^r (x) I_b make up the whole
+    # chain groups, of dimensions C(N, r) * dim (S/I)_b and C(N, r) * dim I_b
     p, cap = field.modulus, DEFAULT_NNZ_CAP
     for family in FAMILIES:
         for n in (2, 3):
@@ -508,7 +557,12 @@ def test_chain_groups_match_quotient_dims(field):
                 for r in (1, 2, 3):
                     for b in (kappa - 1, kappa, kappa + 1):
                         _, qdim = quotient_basis(spec, b, field)
-                        want = comb(spec.nvars, r) * qdim
-                        got = sum(_span(quot, p, cap, r, w)[0] * size
-                                  for w, size in quot.weights(r + b))
-                        assert got == want, (family, n, kappa, r, b)
+                        want = (comb(spec.nvars, r) * qdim,
+                                comb(spec.nvars, r) *
+                                hilbert_oracle(spec, b, field))
+                        got = [0, 0]
+                        for w, size in quot.weights(r + b):
+                            _, q, ideal = _span(quot, p, cap, r, w)
+                            got[0] += q * size
+                            got[1] += ideal * size
+                        assert tuple(got) == want, (family, n, kappa, r, b)
