@@ -7,12 +7,13 @@ pivot of that pass is not a unit (see `agree_over_primes`).
 
 Exit codes: 0 success, 2 formula/oracle mismatch, failed verification,
 failed cache audit or three disagreeing primes, 3 resource cap exceeded,
-4 invalid parameters, among them a negative step, degree or
---cap-nonzeros, which is rejected before any cell runs, and a cache
-directory that cannot be opened, read or written (a message on stderr,
-nothing on stdout).  A failure with exit 2 or 3 that leaves no results
-prints an `error` object (its type and message) next to the empty results;
-with --csv that is one row with `error` and `message` columns.
+4 invalid parameters, among them a negative step (also `lascoux -j`),
+degree or --cap-nonzeros, which is rejected before any cell runs, an
+oracle degree of 2^16 or more, and a cache directory that cannot be
+opened, read or written (a message on stderr, nothing on stdout).  A
+failure with exit 2 or 3 that leaves no results prints an `error` object
+(its type and message) next to the empty results; with --csv that is one
+row with `error` and `message` columns.
 """
 
 import argparse
@@ -186,6 +187,8 @@ def _term_row(term):
 def cmd_lascoux(args, cache_):
     if not (1 <= args.r < args.n):
         raise ValueError("need 1 <= r < n")
+    if args.j < 0:
+        raise ValueError(f"step must be nonnegative, got {args.j}")
     # each engine runs only when asked for; `both` lists the direct rows
     engines = {"direct": lascoux.lascoux_terms,
                "bott": lascoux.resolution_via_bott}

@@ -23,6 +23,17 @@ products g * (M / t) over the block's monomials M and the generators g whose
 first term t divides M, and one fully reduced echelon form of those rows
 gives the piece.
 
+Inside this module a monomial is one int with a 16-bit exponent field per
+variable (`_pack`): x_v^e adds e << 16 v.  Multiplying by x_v adds
+1 << 16 v, and a product g * (M / t) of the ideal's block has the terms
+M - t + u over the terms u of g, so past the listing of each
+representative block no monomial tuple is built, sorted or hashed.  No
+exponent exceeds the degree, so every monomial of degree below 2^16 fits,
+and the oracles raise ValueError for a degree of 2^16 or more before any
+block is built.  Packing keeps the order of every list, so the blocks'
+monomials and the windows' wedges, and with them the rank kernel's pivots,
+are those of the tuples listed.  `quotient_basis` returns tuples.
+
 There is one graded quotient per ideal (`_graded_quotient(spec)`, which
 keeps the last ideal's), and it holds all of that ideal's state.  The
 reduced pieces sit in one memo keyed by (weight, modulus), so every use of a
@@ -95,12 +106,13 @@ from .partitions import partitions
 from .tensorspace import (
     DEFAULT_NNZ_CAP,
     check_cap,
-    mono_mul,
-    mono_times_var,
     mono_weight,
     monomials,
     monomials_with_weight,
 )
+
+# bits per exponent field of a packed monomial
+_BITS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +144,21 @@ def _below(w, total):
             if sum(t) == total]
 
 
+def _pack(m, image=None):
+    """The int of a monomial's (variable, exponent) pairs: exponent e of x_v
+    at bit _BITS * v, or at bit _BITS * image[v] when relabelled."""
+    if image is None:
+        return sum(e << _BITS * v for v, e in m)
+    return sum(e << _BITS * image[v] for v, e in m)
+
+
+def _check_degree(d):
+    """Every exponent of a degree-d monomial fits its packed field."""
+    if d >= 1 << _BITS:
+        raise ValueError(f"degree {d} exceeds the oracle's limit "
+                         f"{(1 << _BITS) - 1}")
+
+
 # ---------------------------------------------------------------------------
 # graded quotients: one per family
 
@@ -143,12 +170,13 @@ class _GridQuotient:
     the block of the permuted weight, so one block per orbit is eliminated:
     the block of the orbit's representative, the dominant pair `weights`
     yields.  It owns the table of generator first terms, the prime-free
-    representative blocks (monomials, the integer rows spanning the ideal's
-    block and their nonzeros), each representative's echelon form mod p read
-    by position, each weight's monomials relabelled from its
-    representative's, one memo of each weight's piece, keyed by (w, p), and
-    each wedge weight's wedges.  So every cell and step of an ideal shares
-    the blocks, and each modulus reduces each orbit once."""
+    representative blocks (monomials as tuples and packed, the integer rows
+    spanning the ideal's block and their nonzeros), each representative's
+    echelon form mod p read by position, each weight's packed monomials
+    relabelled from its representative's, one memo of each weight's piece,
+    keyed by (w, p), and each wedge weight's wedges.  So every cell and step
+    of an ideal shares the blocks, and each modulus reduces each orbit
+    once."""
 
     @staticmethod
     def weight(n, m):
@@ -160,7 +188,8 @@ class _GridQuotient:
         self.n = spec.n
         self.kappa = spec.kappa
         # every generator is found from the variables of its first term,
-        # which must be kappa distinct variables owned by no other generator
+        # which must be kappa distinct variables owned by no other generator,
+        # and is kept packed: (first term, [(term, coefficient)])
         self.terms_by_lead = {}
         for g in expand_generators(spec):
             lead = next(iter(g.terms))[0]
@@ -170,9 +199,11 @@ class _GridQuotient:
                 raise RuntimeError(
                     f"generator first term {lead} is not {self.kappa} "
                     "distinct variables of its own")
-            self.terms_by_lead[key] = g.terms
-        self._blocks = {}     # representative -> (monomials, rows, nonzeros)
-        self._orbit = {}      # w -> (representative, relabelled monomials)
+            self.terms_by_lead[key] = (_pack(lead), [
+                (_pack(m), c) for (m, _), c in g.terms.items()])
+        # representative -> (monomials, packed, rows, nonzeros)
+        self._blocks = {}
+        self._orbit = {}      # w -> (representative, relabelled packed)
         self._echelons = {}   # (representative, p) -> (free, coefficients)
         self._pieces = {}     # (w, p) -> (quotient basis, reduction map)
         self._wedges = {}     # t -> [r-subsets of weight t]
@@ -201,7 +232,7 @@ class _GridQuotient:
         if w not in self._orbit:
             self._orbit[w] = self._relabel(w)
         rep, monos = self._orbit[w]
-        check_cap(self._blocks[rep][2], cap, "ideal block nonzeros")
+        check_cap(self._blocks[rep][3], cap, "ideal block nonzeros")
         if (w, p) not in self._pieces:
             if (rep, p) not in self._echelons:
                 self._echelons[rep, p] = self._echelon(rep, p)
@@ -236,12 +267,13 @@ class _GridQuotient:
                 for (tE, tF), group in self._fitting[key]]
 
     def _relabel(self, w):
-        """(representative, block monomials) of weight w: the sorted row and
-        column weights, swapped when the column part is larger, and the
-        representative's monomials carried onto w's variables, in the
-        representative's order.  Its variable (r, c) is (rows[r], cols[c])
-        of w, or (rows[c], cols[r]) when transposed, where rows and cols
-        sort w's rows and columns by decreasing weight."""
+        """(representative, packed block monomials) of weight w: the sorted
+        row and column weights, swapped when the column part is larger, and
+        the representative's monomials packed straight onto w's variables,
+        in the representative's order.  Its variable (r, c) is
+        (rows[r], cols[c]) of w, or (rows[c], cols[r]) when transposed,
+        where rows and cols sort w's rows and columns by decreasing
+        weight."""
         n = self.n
         wE, wF = w
         rows = sorted(range(n), key=lambda r: -wE[r])
@@ -255,18 +287,17 @@ class _GridQuotient:
         if rep not in self._blocks:
             monos = monomials_with_weight(n, *rep)
             self._blocks[rep] = (monos, *self._spanning_rows(monos))
-        monos = self._blocks[rep][0]
+        monos, packed = self._blocks[rep][:2]
         if rep != w:
-            monos = [tuple(sorted((image[v], e) for v, e in m))
-                     for m in monos]
-        return rep, monos
+            packed = [_pack(m, image) for m in monos]
+        return rep, packed
 
     def _echelon(self, rep, p):
         """The representative block's piece mod p by position: the positions
         of its quotient basis, the non-pivot monomials of the fully reduced
         echelon form, and for each monomial its {basis position:
         coefficient} rewriting mod I."""
-        monos, rows, _ = self._blocks[rep]
+        _, monos, rows, _ = self._blocks[rep]
         pivots = rref_of_rows(rows, p)
         free = [i for i in range(len(monos)) if i not in pivots]
         position = {i: k for k, i in enumerate(free)}
@@ -276,26 +307,27 @@ class _GridQuotient:
         return free, coeffs
 
     def _spanning_rows(self, monos):
-        """The products g * (M / t) for each block monomial M and generator
-        g whose first term t divides M, over the positions in `monos`, and
-        their nonzeros.  Since M -> M / t maps those M one-to-one onto g's
-        multipliers of the block's weight, these are the products of each
-        generator with each of its multipliers."""
-        index = {m: i for i, m in enumerate(monos)}
+        """(packed monos, rows, nonzeros): the products g * (M / t) for each
+        block monomial M and generator g whose first term t divides M, over
+        the positions in `monos`, and their nonzeros.  Packed, the term u of
+        g gives M - t + u.  Since M -> M / t maps those M one-to-one onto
+        g's multipliers of the block's weight, these are the products of
+        each generator with each of its multipliers."""
+        packed = [_pack(m) for m in monos]
+        index = {M: i for i, M in enumerate(packed)}
         rows = []
         nnz = 0
-        for M in monos:
-            for lead in itertools.combinations([v for v, _ in M], self.kappa):
-                terms = self.terms_by_lead.get(lead)
-                if terms is None:
+        for m, M in zip(monos, packed):
+            for lead in itertools.combinations([v for v, _ in m], self.kappa):
+                generator = self.terms_by_lead.get(lead)
+                if generator is None:
                     continue
-                cofactor = tuple((v, e - (v in lead)) for v, e in M
-                                 if e > (v in lead))
-                row = {index[mono_mul(m, cofactor)]: c
-                       for (m, _), c in terms.items()}
+                t, terms = generator
+                cofactor = M - t
+                row = {index[cofactor + u]: c for u, c in terms}
                 nnz += len(row)
                 rows.append(row)
-        return rows, nnz
+        return packed, rows, nnz
 
 
 class _SquarefreeQuotient:
@@ -324,8 +356,8 @@ class _SquarefreeQuotient:
             yield (w, ()), orbit_size(w)
 
     def quotient(self, w, p, cap):
-        mono = tuple((v, e) for v, e in enumerate(w[0]) if e)
-        if len(mono) < self.kappa:
+        mono = _pack(enumerate(w[0]))
+        if len(w[0]) - w[0].count(0) < self.kappa:
             return [mono], {mono: {0: 1}}
         return [], {mono: {}}
 
@@ -423,14 +455,15 @@ def _differential(p, cap, source, target, columns=None):
     `source` into `target`, one per source basis element in layout order:
     (T, b) goes to the sum over a of (-1)^a (T minus T[a], b x_T[a]).
     `target(wedge)` is that wedge's (offset, _, read) or None where its
-    piece is zero, and b x_v is read term by term straight onto the
-    positions after T minus v's offset.  Distinct terms and distinct v
-    give distinct columns on either side, so each entry is written once,
-    and an entry zero mod p is left out.  Modulo the product of a
-    `PrimePair` an entry can still be zero modulo one of its primes; the
-    rank kernel keeps it, and raises if it is ever a pivot.  Position j
-    becomes column `columns[j]`, or is dropped where that is None, when
-    `columns` is given; `cap` bounds the nonzeros of the full map."""
+    piece is zero, and b x_v is read term by term, each packed term plus
+    the int of x_v, straight onto the positions after T minus v's offset.
+    Distinct terms and distinct v give distinct columns on either side, so
+    each entry is written once, and an entry zero mod p is left out.
+    Modulo the product of a `PrimePair` an entry can still be zero modulo
+    one of its primes; the rank kernel keeps it, and raises if it is ever a
+    pivot.  Position j becomes column `columns[j]`, or is dropped where
+    that is None, when `columns` is given; `cap` bounds the nonzeros of the
+    full map."""
     rows = []
     nnz = 0
     for T, (_, basis, _) in source.items():
@@ -438,12 +471,12 @@ def _differential(p, cap, source, target, columns=None):
         for a, v in enumerate(T):
             face = target(T[:a] + T[a + 1:])
             if face is not None:
-                faces.append((v, a % 2, face[0], face[2]))
+                faces.append((1 << _BITS * v, a % 2, face[0], face[2]))
         for b in basis:
             row = {}
-            for v, odd, offset, read in faces:
+            for x_v, odd, offset, read in faces:
                 for u, a in b:
-                    coeffs = read[mono_times_var(u, v)]
+                    coeffs = read[u + x_v]
                     nnz += len(coeffs)
                     for j, c in coeffs.items():
                         k = offset + j
@@ -514,6 +547,7 @@ def hilbert_oracle(spec, t, field_, *, cap=DEFAULT_NNZ_CAP):
     One weight per orbit is visited and scaled by the orbit's size.  The
     square-free oracle builds no degree-t basis, so `cap` does not bound
     it.  Returns 0 for t below the generator degree."""
+    _check_degree(t)
     if t < spec.kappa:
         return 0
     quot = _graded_quotient(spec)
@@ -531,6 +565,7 @@ def quotient_basis(spec, t, field_, cap=DEFAULT_NNZ_CAP):
     representative's complement of its pivot monomials under the canonical
     order, relabelled onto the block, not the canonical complement at every
     weight."""
+    _check_degree(t)
     quot = _graded_quotient(spec)
     keep = {}
     basis = []
@@ -538,7 +573,7 @@ def quotient_basis(spec, t, field_, cap=DEFAULT_NNZ_CAP):
         w = quot.weight(spec.n, m)
         if w not in keep:
             keep[w] = set(quot.quotient(w, field_.modulus, cap)[0])
-        if m in keep[w]:
+        if _pack(m) in keep[w]:
             basis.append(m)
     return basis, len(basis)
 
@@ -556,6 +591,7 @@ def betti_oracle(spec, i, d, field_, *, cap=DEFAULT_NNZ_CAP):
     block and of each differential of the side each block takes."""
     if i < 0:
         raise ValueError("step must be nonnegative")
+    _check_degree(d)
     if i + 1 > spec.nvars:
         # Lambda^(i+1) of the variables is 0: every window's middle is 0
         return 0

@@ -9,6 +9,13 @@ plain variable ids ``0..n-1``.
 Enumeration order of a graded piece is lexicographic on the dense row-major
 exponent vector, largest first, so matrices assembled from these bases are
 reproducible.
+
+The oracle lists its blocks and wedges with `monomials_with_weight` and
+packs each monomial into an int (see `permres.oracle`).  The tuple
+arithmetic here (`mono_mul`, `mono_times_var`, `TensorElement`,
+`koszul_transpose`, `multiply_map_rank`) builds the generators of
+`permres.ideals` and serves the independent references: the whole-space
+checks of `permres.verify` and the tests.
 """
 
 from math import comb, inf

@@ -273,6 +273,34 @@ def test_negative_step_rejected(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_lascoux_negative_step_rejected(capsys):
+    # a negative step has no resolution term, so both engines would agree
+    # on an empty list; it is an invalid parameter
+    for engine in ("direct", "bott", "both"):
+        code = main(["lascoux", "-n", "3", "-r", "1", "-j", "-1",
+                     "--engine", engine, "--cache-dir", "none"])
+        assert code == EXIT_INVALID, engine
+    captured = capsys.readouterr()
+    assert captured.out == "" and "step" in captured.err
+
+
+def test_degree_past_packed_exponents_rejected(capsys, monkeypatch):
+    # the oracle packs each exponent into a 16-bit field, so a degree of
+    # 2^16 or more is invalid, and is rejected before any block is built:
+    # the ideal's graded quotient is not even looked up
+    def refuse(spec):
+        raise AssertionError("the graded quotient was reached")
+
+    monkeypatch.setattr(oracle, "_graded_quotient", refuse)
+    ideal = ["--family", "minors", "-n", "3", "-k", "2", "--mode", "oracle",
+             "--cache-dir", "none"]
+    for cell in (["betti", "--steps", "1", "--deg", "65536"],
+                 ["hilbert", "--t", "65536"]):
+        assert main([*cell, *ideal]) == EXIT_INVALID, cell
+        captured = capsys.readouterr()
+        assert captured.out == "" and "65536" in captured.err, cell
+
+
 def test_negative_degree_rejected(capsys):
     # rejected before any cell runs, whichever family has a closed form
     for family in ("subpermanents", "minors", "squarefree"):

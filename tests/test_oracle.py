@@ -34,6 +34,8 @@ from permres.tensorspace import (
     DEFAULT_NNZ_CAP,
     ResourceCapError,
     TensorElement,
+    mono_mul,
+    mono_times_var,
     monomial_count,
     monomials_with_weight,
     multiply_map_rank,
@@ -131,7 +133,7 @@ def test_blocks_built_once_per_ideal(capsys, monkeypatch):
     capsys.readouterr()
     quot = _graded_quotient(IdealSpec("minors", 3, 2))
     # the rows a call reduces are the block's own, so they name its weight
-    weight_of = {id(rows): w for w, (_, rows, _) in quot._blocks.items()}
+    weight_of = {id(rows): w for w, (_, _, rows, _) in quot._blocks.items()}
     reduced = [(weight_of[key], p) for key, p in calls["rref"]]
     moduli = {p for _, p in reduced}
     assert moduli == {math.prod(f.modulus for f in prime_fields(0, 2))}
@@ -148,6 +150,30 @@ def test_blocks_built_once_per_ideal(capsys, monkeypatch):
     # one ideal's state at a time
     hilbert_oracle(IdealSpec("subpermanents", 3, 2), 2, prime_fields(0)[0])
     assert _graded_quotient.cache_info().currsize == 1
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(n=st.integers(1, 4), data=st.data())
+def test_packed_monomials_match_tuple_arithmetic(n, data):
+    # the oracle's packed ints against tensorspace's tuple monomials: each
+    # exponent below 2^16 reads back from its own field, a product is a
+    # sum, x_v adds the int of x_v, and packing through a relabelling by row
+    # and column permutations, transposed or not, packs the relabelled tuple
+    pack, bits = oracle._pack, oracle._BITS
+    monomial = st.dictionaries(
+        st.integers(0, n * n - 1), st.integers(1, (1 << bits) - 1),
+        max_size=4).map(lambda exps: tuple(sorted(exps.items())))
+    a, b = data.draw(monomial), data.draw(monomial)
+    assert [pack(a) >> bits * v & (1 << bits) - 1 for v in range(n * n)] == \
+        [dict(a).get(v, 0) for v in range(n * n)]
+    assert pack(mono_mul(a, b)) == pack(a) + pack(b)
+    v = data.draw(st.integers(0, n * n - 1))
+    assert pack(mono_times_var(a, v)) == pack(a) + pack(((v, 1),))
+    rows, cols = (data.draw(st.permutations(range(n))) for _ in range(2))
+    transpose = data.draw(st.booleans())
+    image = [rows[c] * n + cols[r] if transpose else rows[r] * n + cols[c]
+             for r in range(n) for c in range(n)]
+    assert pack(a, image) == pack(tuple(sorted((image[v], e) for v, e in a)))
 
 
 def test_wedges_match_brute_force():
@@ -225,9 +251,9 @@ def test_transported_pieces_are_quotient_pieces(field):
                 for t in range(kappa + 3):
                     for w in itertools.product(monomials_dense(n, t),
                                                repeat=2):
-                        monos = monomials_with_weight(n, *w)
+                        monos, rows, _ = quot._spanning_rows(
+                            monomials_with_weight(n, *w))
                         index = {m: j for j, m in enumerate(monos)}
-                        rows, _ = quot._spanning_rows(monos)
                         qbasis, reduce_map = quot.quotient(w, p, cap)
                         where = (family, n, kappa, w)
                         assert sorted(reduce_map) == sorted(monos), where
