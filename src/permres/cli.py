@@ -9,7 +9,8 @@ Exit codes: 0 success, 2 formula/oracle mismatch, failed verification,
 failed cache audit or three disagreeing primes, 3 resource cap exceeded,
 4 invalid parameters, among them a negative step (also `lascoux -j`),
 degree or --cap-nonzeros, which is rejected before any cell runs, an
-oracle degree of 2^16 or more, and a cache directory that cannot be
+oracle degree of 2^16 or more, an `sr` --dim that disagrees with -k - 2
+or either option given for perm2, and a cache directory that cannot be
 opened, read or written (a message on stderr, nothing on stdout).  A
 failure with exit 2 or 3 that leaves no results prints an `error` object
 (its type and message) next to the empty results; with --csv that is one
@@ -217,8 +218,13 @@ def cmd_sr(args, cache_):
         if args.dim is None and args.kappa is None:
             raise ValueError("skeleton needs --dim or -k (dim = kappa - 2)")
         dim = args.dim if args.dim is not None else args.kappa - 2
+        if args.kappa is not None and args.kappa - 2 != dim:
+            raise ValueError(f"--dim {dim} disagrees with -k {args.kappa} "
+                             "(dim = kappa - 2)")
         complex_ = skeleton_complex(args.n, dim)
     elif args.complex == "perm2":
+        if args.dim is not None or args.kappa is not None:
+            raise ValueError("perm2 takes neither --dim nor -k")
         complex_ = perm2_complex(args.n)
     else:
         raise ValueError(f"unknown complex {args.complex!r}")

@@ -16,12 +16,14 @@ block a monomial or a wedge lies in), the weights of a degree with their
 orbit multiplicities, and the block's quotient basis with a reduction map mod p
 (`quotient(w, p, cap)`; a block's degree |w| is the sum of w[0]).  Here p is
 a prime or the product of the two primes of a `PrimePair`, which gives both
-primes' pieces, and every value, in one pass.  The ideal's dimension in a
-block is read off that piece: the block's monomials minus its quotient
-basis.  For the matrix families the ideal's block is spanned by the
-products g * (M / t) over the block's monomials M and the generators g whose
-first term t divides M, and one fully reduced echelon form of those rows
-gives the piece.
+primes' pieces, and every value, in one pass.  A window reads the ideal's
+dimension in a block off that piece, the block's monomials minus its
+quotient basis; a Hilbert value reads it with no piece built
+(`ideal_dim(w, p, cap)`).  For the matrix families the ideal's block is
+spanned by the products g * (M / t) over the block's monomials M and the
+generators g whose first term t divides M, and one fully reduced echelon
+form of those rows gives the piece, its number of pivots the ideal's
+dimension.
 
 Inside this module a monomial is one int with a 16-bit exponent field per
 variable (`_pack`): x_v^e adds e << 16 v.  Multiplying by x_v adds
@@ -35,10 +37,14 @@ monomials and the windows' wedges, and with them the rank kernel's pivots,
 are those of the tuples listed.  `quotient_basis` returns tuples.
 
 There is one graded quotient per ideal (`_graded_quotient(spec)`, which
-keeps the last ideal's), and it holds all of that ideal's state.  The
-reduced pieces sit in one memo keyed by (weight, modulus), so every use of a
-weight sees one basis, and the modulus and the cap are arguments of each
-use; the cap is checked on every use.
+keeps the last ideal's), and it holds that ideal's own state.  The reduced
+pieces sit in one memo keyed by (weight, modulus), so every use of a weight
+sees one basis, and the modulus and the cap are arguments of each use; the
+cap is checked on every use.  What depends on n alone, the blocks'
+monomials, their relabellings and the wedges, sits in one grid per n
+(`_Grid`), shared by every matrix-family quotient of that n and held only
+while one of them lives, so the two families of one matrix size list each
+block and each wedge weight once, and a square-free ideal frees the grid.
 
 Permuting rows and columns (or variables) preserves the ideals, so block
 dimensions only depend on the sorted weight; the transpose x_ij -> x_ji
@@ -48,22 +54,24 @@ families the pair with wF <= wE), and scale its block by the orbit size.
 The same symmetries carry one block's piece onto every block of its orbit,
 and the Koszul windows use weights from every orbit position, so a
 matrix-family ideal eliminates one block per orbit: the representative's
-monomials and integer rows are built once, each modulus reduces them once,
-and every other weight of the orbit relabels the representative's
-monomials once and reads its piece off the representative's echelon form
-by position.  The independent references are outside this module:
-`multiply_map_rank` for the Hilbert function, the whole-space Koszul
-homology of the tests for the Betti numbers, and a check of each
-transported piece against its block's own spanning rows.
+monomials are listed once per n and its integer rows built once per ideal,
+each modulus reduces them once, and every other weight of the orbit
+relabels the representative's monomials once and reads its piece off the
+representative's echelon form by position.  The independent references
+are outside this module: `multiply_map_rank` for the Hilbert function, the
+whole-space Koszul homology of the tests for the Betti numbers, and a
+check of each transported piece against its block's own spanning rows.
 
 A block's Koszul window only involves wedges (r-subsets of the variables)
 whose weight t fits under the block's weight w, and the graded quotient
 lists them from w with the weights w - t of their quotient pieces
 (`wedges(r, w)`): for the matrix families, the 0/1 n x n matrices with row
-sums tE and column sums tF, once per t per ideal; for the square-free
-family, the r-subsets of w's support.  So a window looks up one quotient
-piece per weight t that some wedge has, and no wedge outside every window is
-listed.
+sums tE and column sums tF, listed once per orbit of t, for t's sorted
+representative, and relabelled onto each t of the orbit by the blocks' row
+and column sorts, then sorted, which gives t's own lexicographic listing;
+for the square-free family, the r-subsets of w's support.  So a window
+looks up one quotient piece per weight t that some wedge has, and no wedge
+outside every window is listed.
 
 A block can be computed on either side of 0 -> I -> S -> S/I -> 0.  S is
 free, so the long exact Tor sequence gives Tor_(i+1)(S/I) = Tor_i(I) at
@@ -98,6 +106,7 @@ import collections
 import functools
 import itertools
 import operator
+import weakref
 from math import factorial
 
 from .ideals import expand_generators
@@ -163,20 +172,108 @@ def _check_degree(d):
 # graded quotients: one per family
 
 
+def _relabelling(n, w):
+    """(representative, image) of a weight pair w under permuting rows,
+    permuting columns and transposing: the sorted row and column weights,
+    swapped when the column part is larger, and the image of each of the
+    representative's variables among w's.  Its variable (r, c) is
+    (rows[r], cols[c]) of w, or (rows[c], cols[r]) when transposed, where
+    rows and cols sort w's rows and columns by decreasing weight."""
+    wE, wF = w
+    rows = sorted(range(n), key=lambda r: -wE[r])
+    cols = sorted(range(n), key=lambda c: -wF[c])
+    rep = tuple(wE[r] for r in rows), tuple(wF[c] for c in cols)
+    if rep[1] > rep[0]:
+        return rep[::-1], [rows[c] * n + cols[r]
+                           for r in range(n) for c in range(n)]
+    return rep, [rows[r] * n + cols[c] for r in range(n) for c in range(n)]
+
+
+class _Grid:
+    """What the blocks of every matrix-family ideal on the n x n grid share,
+    since it depends on n alone: each representative block's monomials, as
+    tuples and packed; each weight's representative and its monomials
+    packed onto the weight's variables; each wedge weight's wedges; and
+    each window's fitting wedge weights.  Representatives and wedges are
+    listed once per orbit (see `_relabelling`) and relabelled."""
+
+    def __init__(self, n):
+        self.n = n
+        self._blocks = {}     # representative -> (monomials, packed)
+        self._orbit = {}      # w -> (representative, relabelled packed)
+        self._wedges = {}     # t -> [r-subsets of weight t]
+        self._fitting = {}    # (r, w clipped at r) -> [(t, r-subsets)]
+
+    def orbit(self, w):
+        """(representative, packed block monomials) of weight w: the
+        representative's monomials packed straight onto w's variables, in
+        the representative's order."""
+        if w not in self._orbit:
+            rep, image = _relabelling(self.n, w)
+            if rep not in self._blocks:
+                monos = monomials_with_weight(self.n, *rep)
+                self._blocks[rep] = monos, [_pack(m) for m in monos]
+            monos, packed = self._blocks[rep]
+            if rep != w:
+                packed = [_pack(m, image) for m in monos]
+            self._orbit[w] = rep, packed
+        return self._orbit[w]
+
+    def wedge_list(self, t):
+        """The r-subsets of weight t, 0/1 n x n matrices with row sums tE and
+        column sums tF, in lexicographic order: the representative's,
+        filled row by row against the remaining column sums (Ryser's
+        setting), relabelled onto t's variables and sorted."""
+        if t not in self._wedges:
+            rep, image = _relabelling(self.n, t)
+            if rep == t:
+                self._wedges[t] = [tuple(v for v, _ in m) for m in
+                                   monomials_with_weight(self.n, *t, bound=1)]
+            else:
+                self._wedges[t] = sorted(tuple(sorted(image[v] for v in T))
+                                         for T in self.wedge_list(rep))
+        return self._wedges[t]
+
+    def wedges(self, r, w):
+        """[(w - t, the r-subsets of weight t)] over the weights t <= w of
+        r-subsets.  No row or column sum of an r-subset exceeds r, so the t
+        that fit are found once per w clipped at r."""
+        key = r, tuple(tuple(min(x, r) for x in part) for part in w)
+        if key not in self._fitting:
+            fitting = []
+            for t in itertools.product(*(_below(part, r) for part in key[1])):
+                if group := self.wedge_list(t):
+                    fitting.append((t, group))
+            # no value depends on the order of a window's wedges, but the
+            # rank kernel's pivots, and so the size of each restricted top
+            # map, do: list the row weights, and within one the weights, in
+            # the order the lexicographic listing of r-subsets meets them
+            fitting.sort(key=lambda tg: ([-x for x in tg[0][0]], tg[1][0]))
+            self._fitting[key] = fitting
+        return [((_sub(w[0], tE), _sub(w[1], tF)), group)
+                for (tE, tF), group in self._fitting[key]]
+
+
+# the grid of each n that some quotient holds, and of no other: a CLI
+# invocation's ideals of one n share it, and it goes with its last ideal
+_grids = weakref.WeakValueDictionary()
+
+
 class _GridQuotient:
     """S/I for a matrix-family ideal, split into blocks by weight w, a pair
     (row weight, column weight).  Permuting rows, permuting columns and
     transposing map the ideal onto itself and the block of a weight onto
     the block of the permuted weight, so one block per orbit is eliminated:
     the block of the orbit's representative, the dominant pair `weights`
-    yields.  It owns the table of generator first terms, the prime-free
-    representative blocks (monomials as tuples and packed, the integer rows
-    spanning the ideal's block and their nonzeros), each representative's
-    echelon form mod p read by position, each weight's packed monomials
-    relabelled from its representative's, one memo of each weight's piece,
-    keyed by (w, p), and each wedge weight's wedges.  So every cell and step
-    of an ideal shares the blocks, and each modulus reduces each orbit
-    once."""
+    yields.  The monomials of every block and the wedges of every window
+    come from the grid of its n (`_Grid`), which every matrix-family ideal
+    of that n shares.  The quotient owns the ideal's own state: the table
+    of generator first terms, each representative's integer rows spanning
+    the ideal's block and their nonzeros, its echelon form mod p read by
+    position, and one memo of each weight's piece, keyed by (w, p).  So
+    every cell and step of an ideal shares the blocks, and each modulus
+    reduces each orbit once; a Hilbert value reads each block's ideal
+    dimension (`ideal_dim`) and builds no piece."""
 
     @staticmethod
     def weight(n, m):
@@ -187,6 +284,8 @@ class _GridQuotient:
     def __init__(self, spec):
         self.n = spec.n
         self.kappa = spec.kappa
+        self.grid = _grids.setdefault(spec.n, _Grid(spec.n))
+        self.wedges = self.grid.wedges
         # every generator is found from the variables of its first term,
         # which must be kappa distinct variables owned by no other generator,
         # and is kept packed: (first term, [(term, coefficient)])
@@ -201,13 +300,9 @@ class _GridQuotient:
                     "distinct variables of its own")
             self.terms_by_lead[key] = (_pack(lead), [
                 (_pack(m), c) for (m, _), c in g.terms.items()])
-        # representative -> (monomials, packed, rows, nonzeros)
-        self._blocks = {}
-        self._orbit = {}      # w -> (representative, relabelled packed)
+        self._rows = {}       # representative -> (rows, nonzeros)
         self._echelons = {}   # (representative, p) -> (free, coefficients)
         self._pieces = {}     # (w, p) -> (quotient basis, reduction map)
-        self._wedges = {}     # t -> [r-subsets of weight t]
-        self._fitting = {}    # (r, w clipped at r) -> [(t, r-subsets)]
 
     def weights(self, total):
         """One pair per orbit under permuting rows, permuting columns and
@@ -229,10 +324,7 @@ class _GridQuotient:
         callers sharing a block may pass different caps; a relabelling keeps
         the block's nonzeros, and `rref_of_rows` reduces into fresh rows, so
         the shared integer rows stay as built."""
-        if w not in self._orbit:
-            self._orbit[w] = self._relabel(w)
-        rep, monos = self._orbit[w]
-        check_cap(self._blocks[rep][3], cap, "ideal block nonzeros")
+        rep, monos = self._block(w, cap)
         if (w, p) not in self._pieces:
             if (rep, p) not in self._echelons:
                 self._echelons[rep, p] = self._echelon(rep, p)
@@ -241,79 +333,48 @@ class _GridQuotient:
                                   dict(zip(monos, coeffs)))
         return self._pieces[w, p]
 
-    def wedges(self, r, w):
-        """[(w - t, the r-subsets of weight t)] over the weights t <= w of
-        r-subsets: 0/1 n x n matrices with row sums tE and column sums tF,
-        filled row by row against the remaining column sums (Ryser's
-        setting) once per t.  No row or column sum of an r-subset exceeds r,
-        so the t that fit are found once per w clipped at r."""
-        key = r, tuple(tuple(min(x, r) for x in part) for part in w)
-        if key not in self._fitting:
-            fitting = []
-            for t in itertools.product(*(_below(part, r) for part in key[1])):
-                if t not in self._wedges:
-                    self._wedges[t] = [
-                        tuple(v for v, _ in m)
-                        for m in monomials_with_weight(self.n, *t, bound=1)]
-                if self._wedges[t]:
-                    fitting.append((t, self._wedges[t]))
-            # no value depends on the order of a window's wedges, but the
-            # rank kernel's pivots, and so the size of each restricted top
-            # map, do: list the row weights, and within one the weights, in
-            # the order the lexicographic listing of r-subsets meets them
-            fitting.sort(key=lambda tg: ([-x for x in tg[0][0]], tg[1][0]))
-            self._fitting[key] = fitting
-        return [((_sub(w[0], tE), _sub(w[1], tF)), group)
-                for (tE, tF), group in self._fitting[key]]
+    def ideal_dim(self, w, p, cap):
+        """Dimension of the ideal's weight-w block mod p, the rank of its
+        spanning rows: read off the representative's echelon form when it
+        is memoised, and otherwise eliminated with nothing memoised.  The
+        cap is checked first, as in `quotient`."""
+        rep, _ = self._block(w, cap)
+        if (rep, p) in self._echelons:
+            free, coeffs = self._echelons[rep, p]
+            return len(coeffs) - len(free)
+        return len(rref_of_rows(self._rows[rep][0], p))
 
-    def _relabel(self, w):
-        """(representative, packed block monomials) of weight w: the sorted
-        row and column weights, swapped when the column part is larger, and
-        the representative's monomials packed straight onto w's variables,
-        in the representative's order.  Its variable (r, c) is
-        (rows[r], cols[c]) of w, or (rows[c], cols[r]) when transposed,
-        where rows and cols sort w's rows and columns by decreasing
-        weight."""
-        n = self.n
-        wE, wF = w
-        rows = sorted(range(n), key=lambda r: -wE[r])
-        cols = sorted(range(n), key=lambda c: -wF[c])
-        rep = tuple(wE[r] for r in rows), tuple(wF[c] for c in cols)
-        if rep[1] > rep[0]:
-            rep = rep[::-1]
-            image = [rows[c] * n + cols[r] for r in range(n) for c in range(n)]
-        else:
-            image = [rows[r] * n + cols[c] for r in range(n) for c in range(n)]
-        if rep not in self._blocks:
-            monos = monomials_with_weight(n, *rep)
-            self._blocks[rep] = (monos, *self._spanning_rows(monos))
-        monos, packed = self._blocks[rep][:2]
-        if rep != w:
-            packed = [_pack(m, image) for m in monos]
-        return rep, packed
+    def _block(self, w, cap):
+        """(representative, packed block monomials) of weight w (see
+        `_Grid.orbit`), once the nonzeros of the representative's integer
+        rows, built on first use, are checked against the cap."""
+        rep, monos = self.grid.orbit(w)
+        if rep not in self._rows:
+            self._rows[rep] = self._spanning_rows(*self.grid._blocks[rep])
+        check_cap(self._rows[rep][1], cap, "ideal block nonzeros")
+        return rep, monos
 
     def _echelon(self, rep, p):
         """The representative block's piece mod p by position: the positions
         of its quotient basis, the non-pivot monomials of the fully reduced
         echelon form, and for each monomial its {basis position:
         coefficient} rewriting mod I."""
-        _, monos, rows, _ = self._blocks[rep]
-        pivots = rref_of_rows(rows, p)
-        free = [i for i in range(len(monos)) if i not in pivots]
+        size = len(self.grid._blocks[rep][0])
+        pivots = rref_of_rows(self._rows[rep][0], p)
+        free = [i for i in range(size) if i not in pivots]
         position = {i: k for k, i in enumerate(free)}
         coeffs = [{position[c]: -v % p for c, v in pivots[i].items()
                    if c != i} if i in pivots else {position[i]: 1}
-                  for i in range(len(monos))]
+                  for i in range(size)]
         return free, coeffs
 
-    def _spanning_rows(self, monos):
-        """(packed monos, rows, nonzeros): the products g * (M / t) for each
-        block monomial M and generator g whose first term t divides M, over
-        the positions in `monos`, and their nonzeros.  Packed, the term u of
-        g gives M - t + u.  Since M -> M / t maps those M one-to-one onto
-        g's multipliers of the block's weight, these are the products of
-        each generator with each of its multipliers."""
-        packed = [_pack(m) for m in monos]
+    def _spanning_rows(self, monos, packed):
+        """(rows, nonzeros): the products g * (M / t) for each block
+        monomial M and generator g whose first term t divides M, over the
+        positions of the packed monomials, and their nonzeros.  Packed, the
+        term u of g gives M - t + u.  Since M -> M / t maps those M
+        one-to-one onto g's multipliers of the block's weight, these are the
+        products of each generator with each of its multipliers."""
         index = {M: i for i, M in enumerate(packed)}
         rows = []
         nnz = 0
@@ -327,15 +388,16 @@ class _GridQuotient:
                 row = {index[cofactor + u]: c for u, c in terms}
                 nnz += len(row)
                 rows.append(row)
-        return packed, rows, nnz
+        return rows, nnz
 
 
 class _SquarefreeQuotient:
     """The ideal of degree-kappa square-free monomials, graded by
     multidegree.  A multidegree holds a single monomial, which lies outside
     the ideal iff it involves fewer than kappa distinct variables, so a
-    block's quotient basis is that monomial or nothing and its reduction map
-    is the identity or zero, over every prime and with no matrix to cap."""
+    block's quotient basis is that monomial or nothing, its reduction map
+    the identity or zero and its ideal dimension 0 or 1, over every prime
+    and with no matrix to cap."""
 
     @staticmethod
     def weight(n, m):
@@ -360,6 +422,9 @@ class _SquarefreeQuotient:
         if len(w[0]) - w[0].count(0) < self.kappa:
             return [mono], {mono: {0: 1}}
         return [], {mono: {}}
+
+    def ideal_dim(self, w, p, cap):
+        return int(len(w[0]) - w[0].count(0) >= self.kappa)
 
     def wedges(self, r, w):
         """Yields (w - t, [T]) for the r-subsets T of w's support, t the
@@ -540,10 +605,10 @@ def _betti_block(quot, p, cap, i, w):
 
 def hilbert_oracle(spec, t, field_, *, cap=DEFAULT_NNZ_CAP):
     """dim I_t computed by brute force, as the sum over weights of the
-    ideal's block dimensions, each read off the block's quotient piece: the
-    block's monomials outside the quotient basis, which for the matrix
-    families are the pivots of the echelon form of {generator * monomial}
-    in that weight, and 0 or 1 per multidegree for the square-free family.
+    ideal's block dimensions (`ideal_dim`), with no piece built: for the
+    matrix families the number of pivots of the echelon form of
+    {generator * monomial} in that weight, and 0 or 1 per multidegree for
+    the square-free family.
     One weight per orbit is visited and scaled by the orbit's size.  The
     square-free oracle builds no degree-t basis, so `cap` does not bound
     it.  Returns 0 for t below the generator degree."""
@@ -551,11 +616,8 @@ def hilbert_oracle(spec, t, field_, *, cap=DEFAULT_NNZ_CAP):
     if t < spec.kappa:
         return 0
     quot = _graded_quotient(spec)
-    total = 0
-    for w, size in quot.weights(t):
-        qbasis, reduce_map = quot.quotient(w, field_.modulus, cap)
-        total += (len(reduce_map) - len(qbasis)) * size
-    return total
+    return sum(quot.ideal_dim(w, field_.modulus, cap) * size
+               for w, size in quot.weights(t))
 
 
 def quotient_basis(spec, t, field_, cap=DEFAULT_NNZ_CAP):

@@ -217,6 +217,30 @@ def test_sr_subcommand(capsys, tmp_path):
     assert len(row["dual_generators"]) == 6
 
 
+def test_sr_skeleton_dim_must_match_kappa(capsys):
+    # -k 3 means the 1-dimensional skeleton, so --dim 2 contradicts it
+    # rather than overriding it; options that agree are accepted
+    code = main(["sr", "--complex", "skeleton", "-n", "4", "--dim", "2",
+                 "-k", "3", "--cache-dir", "none"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID and captured.out == ""
+    assert "disagrees" in captured.err
+    code, env = run_json(capsys, "sr", "--complex", "skeleton", "-n", "4",
+                         "--dim", "1", "-k", "3", "--cache-dir", "none")
+    assert code == EXIT_OK
+    assert env["results"][0]["f_vector"] == [1, 4, 6]
+
+
+@pytest.mark.parametrize("option", [("--dim", "1"), ("-k", "3")])
+def test_sr_perm2_rejects_skeleton_options(capsys, option):
+    # perm2 has no dimension to choose, so neither option is ignored
+    code = main(["sr", "--complex", "perm2", "-n", "3", *option,
+                 "--cache-dir", "none"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID and captured.out == ""
+    assert "perm2" in captured.err
+
+
 # every check of each suite, in order; dropping one from permres.verify
 # fails test_verify_suite
 VERIFY_CHECKS = {

@@ -19,10 +19,12 @@ from permres.modular import prime_fields, rank_of_rows
 from permres.oracle import (
     _betti_block,
     _differential,
+    _Grid,
     _GridQuotient,
     _graded_quotient,
     _layout,
     _monomial_coordinates,
+    _relabelling,
     _span,
     betti_oracle,
     dominant_weights,
@@ -102,11 +104,11 @@ def test_grid_quotient_checks_generator_first_terms(monkeypatch):
 
 def test_blocks_built_once_per_ideal(capsys, monkeypatch):
     # one graded quotient holds an ideal's state across cells, steps and
-    # commands: the generators are expanded once, each orbit
-    # representative's basis and each wedge weight's 0/1 matrices are
-    # enumerated once, and the one modulus, the product of both primes,
-    # reduces each representative's block once; every other weight is
-    # relabelled
+    # commands: the generators are expanded once, and the one modulus, the
+    # product of both primes, reduces each representative's block once.
+    # The grid of its n, which the next ideal of that n shares, enumerates
+    # each orbit representative's basis and each representative wedge
+    # weight's 0/1 matrices once; every other weight is relabelled
     calls = {"mww": [], "expand": 0, "rref": []}
     mww, expand, rref = (oracle.monomials_with_weight,
                          oracle.expand_generators, oracle.rref_of_rows)
@@ -132,23 +134,37 @@ def test_blocks_built_once_per_ideal(capsys, monkeypatch):
     assert cli.main(["hilbert", "--t", "2..5", *ideal]) == 0
     capsys.readouterr()
     quot = _graded_quotient(IdealSpec("minors", 3, 2))
+    grid = quot.grid
     # the rows a call reduces are the block's own, so they name its weight
-    weight_of = {id(rows): w for w, (_, _, rows, _) in quot._blocks.items()}
+    weight_of = {id(rows): w for w, (rows, _) in quot._rows.items()}
     reduced = [(weight_of[key], p) for key, p in calls["rref"]]
     moduli = {p for _, p in reduced}
     assert moduli == {math.prod(f.modulus for f in prime_fields(0, 2))}
-    assert sorted(reduced) == sorted(itertools.product(quot._blocks, moduli))
-    assert Counter(calls["mww"]) == Counter(
-        [(w, math.inf) for w in quot._blocks] + [(t, 1) for t in quot._wedges])
-    assert any(quot._wedges.values())
+    assert set(quot._rows) == set(grid._blocks)
+    assert sorted(reduced) == sorted(itertools.product(grid._blocks, moduli))
+    listed = [(w, math.inf) for w in grid._blocks] + [
+        (t, 1) for t in grid._wedges if _relabelling(3, t)[0] == t]
+    assert Counter(calls["mww"]) == Counter(listed)
+    # and some wedge weights were relabelled rather than listed
+    assert len(grid._wedges) > len(listed) - len(grid._blocks)
+    assert any(grid._wedges.values())
     assert calls["expand"] == 1
     # the blocks are exactly the representatives of the weights used, and
     # the windows use weights off them, so some pieces are transported
-    assert set(quot._blocks) == {rep for rep, _ in quot._orbit.values()}
-    assert all(quot._orbit[rep][0] == rep for rep in quot._blocks)
-    assert len(quot._orbit) > len(quot._blocks)
+    assert set(grid._blocks) == {rep for rep, _ in grid._orbit.values()}
+    assert all(grid._orbit[rep][0] == rep for rep in grid._blocks)
+    assert len(grid._orbit) > len(grid._blocks)
+    # the sub-permanents of the same n share the grid: listing only weights
+    # the minors did not, and, Hilbert values only, building no piece
+    ideal[1] = "subpermanents"
+    assert cli.main(["hilbert", "--t", "2..7", *ideal]) == 0
+    capsys.readouterr()
+    quot = _graded_quotient(IdealSpec("subpermanents", 3, 2))
+    assert quot.grid is grid and calls["expand"] == 2
+    assert calls["mww"][len(listed):]
+    assert not set(calls["mww"][len(listed):]) & set(listed)
+    assert not quot._pieces and not quot._echelons
     # one ideal's state at a time
-    hilbert_oracle(IdealSpec("subpermanents", 3, 2), 2, prime_fields(0)[0])
     assert _graded_quotient.cache_info().currsize == 1
 
 
@@ -236,6 +252,55 @@ def test_wedges_match_brute_force():
                     assert order == sorted(order), where
 
 
+def _assert_orbit_listed(grid, t):
+    assert grid.wedge_list(t) == [
+        tuple(v for v, _ in m)
+        for m in monomials_with_weight(grid.n, *t, bound=1)], t
+
+
+def test_orbit_listed_wedges():
+    # a grid lists the wedges of each orbit's representative and relabels
+    # them onto every weight of the orbit; sorted, that is the listing of
+    # the weight's own 0/1 matrices, in its order, which steers the rank
+    # kernel's pivots.  Every wedge weight for n <= 3, entries past n too
+    relabelled = 0
+    for n in (1, 2, 3):
+        grid = _Grid(n)
+        parts = list(itertools.product(range(n + 2), repeat=n))
+        for tE, tF in itertools.product(parts, repeat=2):
+            if sum(tE) == sum(tF):
+                _assert_orbit_listed(grid, (tE, tF))
+                relabelled += _relabelling(n, (tE, tF))[0] != (tE, tF)
+    assert relabelled > 1000, relabelled
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(r=st.integers(0, 16), data=st.data())
+def test_orbit_listed_wedges_n4(r, data):
+    parts = [x for x in itertools.product(range(5), repeat=4) if sum(x) == r]
+    t = data.draw(st.sampled_from(parts)), data.draw(st.sampled_from(parts))
+    _assert_orbit_listed(_Grid(4), t)
+
+
+def test_grid_lives_while_a_quotient_holds_it(field):
+    # the grid of an n is shared while some quotient of that n holds it and
+    # freed with the last one, so a later ideal of another n or family does
+    # not keep its blocks and wedges alive
+    assert not oracle._grids
+    hilbert_oracle(IdealSpec("minors", 4, 2), 4, field)
+    grid = _graded_quotient(IdealSpec("minors", 4, 2)).grid
+    hilbert_oracle(IdealSpec("subpermanents", 4, 2), 4, field)
+    assert _graded_quotient(IdealSpec("subpermanents", 4, 2)).grid is grid
+    del grid
+    assert list(oracle._grids) == [4]
+    hilbert_oracle(IdealSpec("squarefree", 4, 2), 4, field)
+    assert not oracle._grids
+    hilbert_oracle(IdealSpec("minors", 3, 2), 3, field)
+    assert list(oracle._grids) == [3]
+    _graded_quotient.cache_clear()
+    assert not oracle._grids
+
+
 def test_transported_pieces_are_quotient_pieces(field):
     # every block's piece is its orbit representative's, relabelled; check
     # it against the block's own spanning rows, built at the block's weight
@@ -251,8 +316,9 @@ def test_transported_pieces_are_quotient_pieces(field):
                 for t in range(kappa + 3):
                     for w in itertools.product(monomials_dense(n, t),
                                                repeat=2):
-                        monos, rows, _ = quot._spanning_rows(
-                            monomials_with_weight(n, *w))
+                        tuples = monomials_with_weight(n, *w)
+                        monos = [oracle._pack(m) for m in tuples]
+                        rows, _ = quot._spanning_rows(tuples, monos)
                         index = {m: j for j, m in enumerate(monos)}
                         qbasis, reduce_map = quot.quotient(w, p, cap)
                         where = (family, n, kappa, w)
