@@ -197,8 +197,7 @@ def cmd_lascoux(args, cache_):
     runs = [engines[name](args.n, args.r, args.j) for name in asked]
     results = [_term_row(t) for t in runs[0]]
     if args.engine == "both":
-        direct, via_bott = (sorted((t.lam_e, t.lam_f, t.dim) for t in terms)
-                            for terms in runs)
+        direct, via_bott = map(lascoux.comparison_key, runs)
         results.append({"check": "engines-agree", "match": direct == via_bott})
     return results, []
 

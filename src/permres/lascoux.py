@@ -161,6 +161,12 @@ def resolution_via_bott(n, r, j):
     return terms
 
 
+def comparison_key(terms):
+    """The sorted (lam_e, lam_f, dim) of a step's terms: what the two
+    engines, `lascoux_terms` and `resolution_via_bott`, must agree on."""
+    return sorted((t.lam_e, t.lam_f, t.dim) for t in terms)
+
+
 def resolution_length(n, r):
     """Largest step with nonzero terms: (n-r)^2 (the quotient by the minors
     is arithmetically Cohen-Macaulay, and Gorenstein at the top)."""

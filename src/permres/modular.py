@@ -9,6 +9,10 @@ through a bucket queue of row lengths, in pure Python with no dense finish.
 All eliminations, and so the pivot sequence of every rank, are deterministic
 for a fixed modulus.
 
+The fully reduced echelon form, `rref_of_rows`, is one Gauss-Jordan pass
+over the rows in input order that keeps every pivot row fully reduced, with
+its pivots at the leading columns.
+
 Both primes are checked in one pass.  By the Chinese remainder theorem
 Z/(p1 p2) is F_p1 x F_p2, so an elimination modulo M = p1 p2 whose every
 pivot is a unit is the elimination over both fields at once, with one pivot
@@ -219,6 +223,19 @@ def rank_of_rows(rows, p, *, pivot_rows=None):
     return rank
 
 
+def _subtract(row, f, pivot, c, p):
+    """row -= f * pivot mod p in place, over every column of `pivot` but c,
+    which the caller has popped from `row`; entries that reach 0 are
+    deleted."""
+    for cc, vv in pivot.items():
+        if cc != c:
+            new = (row.get(cc, 0) - f * vv) % p
+            if new:
+                row[cc] = new
+            elif cc in row:
+                del row[cc]
+
+
 def rref_of_rows(rows, p):
     """Fully reduced row echelon form mod p, a prime or the modulus of a
     `PrimePair`; in the latter case a leading entry that is not a unit
@@ -228,40 +245,27 @@ def rref_of_rows(rows, p):
     pivot and support only on non-pivot columns otherwise.  Pivot columns are
     the leading columns under the natural column order, so the non-pivot set
     is deterministic for a fixed row order and modulus.
+
+    One Gauss-Jordan pass: the pivot rows are kept fully reduced, so an
+    incoming row is cleared of each pivot column it holds by one
+    subtraction, and what is left, if anything, is scaled to a new pivot at
+    its leading column, which is then cleared from the earlier pivot rows.
+    A pivot row's support never reaches left of its pivot, so the pivots
+    stay at leading columns and the result is the unique reduced form.
     """
     pivots = {}
     for row in rows:
         r = {c: v % p for c, v in row.items() if v % p}
-        while r:
+        for c in [c for c in r if c in pivots]:
+            _subtract(r, r.pop(c), pivots[c], c, p)
+        if r:
             c = min(r)
-            if c in pivots:
-                f = r.pop(c)
-                for cc, vv in pivots[c].items():
-                    if cc == c:
-                        continue
-                    new = (r.get(cc, 0) - f * vv) % p
-                    if new:
-                        r[cc] = new
-                    elif cc in r:
-                        del r[cc]
-            else:
-                inv = _inverse(r[c], p)
-                pivots[c] = {cc: vv * inv % p for cc, vv in r.items()}
-                break
-    # back-substitution: clear pivot columns from earlier pivot rows
-    for c in sorted(pivots, reverse=True):
-        row = pivots[c]
-        for c2 in sorted(cc for cc in row if cc != c and cc in pivots):
-            f = row.pop(c2)
-            for cc, vv in pivots[c2].items():
-                if cc == c2:
-                    continue
-                new = (row.get(cc, 0) - f * vv) % p
-                if new:
-                    row[cc] = new
-                elif cc in row:
-                    del row[cc]
-        row[c] = 1
+            inv = _inverse(r[c], p)
+            r = {cc: vv * inv % p for cc, vv in r.items()}
+            for other in pivots.values():
+                if c in other:
+                    _subtract(other, other.pop(c), r, c, p)
+            pivots[c] = r
     return pivots
 
 

@@ -11,8 +11,9 @@ splits into independent blocks indexed by weights: (row weight, column
 weight) for the two-sided torus on the n x n grid of the matrix families,
 and the multidegree, the case of the diagonal torus of the n variables, for
 the square-free family.  A family enters only through its graded quotient:
-the weight of a monomial (`weight(n, m)`, the one place that decides which
-block a monomial or a wedge lies in), the weights of a degree with their
+the weight of a monomial (`weight(n, m)`, which places each monomial of
+`quotient_basis` in its block; the wedges are listed from weights, see
+`wedges` below), the weights of a degree with their
 orbit multiplicities, and the block's quotient basis with a reduction map mod p
 (`quotient(w, p, cap)`; a block's degree |w| is the sum of w[0]).  Here p is
 a prime or the product of the two primes of a `PrimePair`, which gives both

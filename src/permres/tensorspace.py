@@ -124,7 +124,7 @@ def monomials_with_weight(n, w_rows, w_cols, bound=inf):
 
     def fill_row(i, acc):
         if i == n:
-            out.append(tuple(sorted(acc)))
+            out.append(tuple(acc))
             return
         target = w_rows[i]
 

@@ -198,13 +198,9 @@ def verify_lascoux(expensive=False, seed=0):
     for n in range(2, 6):
         for r in range(1, min(4, n)):
             for j in range(1, min(6, (n - r) ** 2) + 1):
-                direct = sorted(
-                    (t.lam_e, t.lam_f, t.dim) for t in lascoux.lascoux_terms(n, r, j)
-                )
-                via_bott = sorted(
-                    (t.lam_e, t.lam_f, t.dim)
-                    for t in lascoux.resolution_via_bott(n, r, j)
-                )
+                direct = lascoux.comparison_key(lascoux.lascoux_terms(n, r, j))
+                via_bott = lascoux.comparison_key(
+                    lascoux.resolution_via_bott(n, r, j))
                 if direct != via_bott:
                     bad.append((n, r, j))
                 if len({(e, f) for (e, f, _) in direct}) != len(direct):

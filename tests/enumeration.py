@@ -2,7 +2,8 @@
 deliberately naive: counting objects one by one, never through the closed
 forms they are checking.  Small helpers that only tests use as independent
 references live here too: the regular-weight predicate, the dimension of an
-induced module, and a dense rank over F_p by row reduction with numpy."""
+induced module, and a dense rank and reduced echelon form over F_p by
+row reduction with numpy."""
 
 import itertools
 from functools import cache
@@ -105,6 +106,32 @@ def dense_rank(rows, ncols, p):
             a[below] = (a[below] - a[below, col][:, None] * a[rank]) % p
         rank += 1
     return rank
+
+
+def dense_rref(rows, ncols, p):
+    """Fully reduced row echelon form over F_p of sparse rows ({col:
+    coeff}, columns below `ncols`) by dense Gauss-Jordan elimination in
+    int64, column by column, as {pivot column: {col: nonzero coeff}}: the
+    reference the sparse kernel `rref_of_rows` is checked against."""
+    a = np.zeros((len(rows), ncols), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            a[i, c] = v % p
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        nz = np.nonzero(a[rank:, col])[0]
+        if nz.size == 0:
+            continue
+        piv = rank + int(nz[0])
+        a[[rank, piv]] = a[[piv, rank]]
+        a[rank] = a[rank] * pow(int(a[rank, col]), p - 2, p) % p
+        others = np.nonzero(a[:, col])[0]
+        others = others[others != rank]
+        a[others] = (a[others] - a[others, col][:, None] * a[rank]) % p
+        pivots.append(col)
+    return {col: {int(c): int(a[k, c]) for c in np.nonzero(a[k])[0]}
+            for k, col in enumerate(pivots)}
 
 
 def monomials_dense(nvars, degree):

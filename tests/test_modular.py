@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from enumeration import dense_rank
+from enumeration import dense_rank, dense_rref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -283,6 +283,46 @@ def test_rref_reduction_identity():
             for cc, vv in pivots[c].items():
                 r[cc] = (r.get(cc, 0) - f * vv) % p
         assert not any(v % p for v in r.values())
+
+
+@st.composite
+def _rref_inputs(draw):
+    """(rows, ncols): sparse rows over at most 8 columns, with entries that
+    vanish mod one prime of the seed-0 pair or both, small ones and generic
+    residues mod their product, and with zero rows and repeated rows."""
+    p, q = (f.modulus for f in prime_fields(0, 2))
+    ncols = draw(st.integers(1, 8))
+    entry = st.one_of(st.integers(-2, 2), st.integers(1, p * q - 1),
+                      st.sampled_from([p, -p, 2 * q, p * q]))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), entry,
+                                         max_size=4), max_size=8))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    return draw(st.permutations(rows)), ncols
+
+
+@settings(deadline=None, derandomize=True, max_examples=90)
+@given(_rref_inputs())
+def test_rref_matches_dense_reference(example):
+    rows, ncols = example
+    p, q = (f.modulus for f in prime_fields(0, 2))
+    for m in (p, q):
+        assert rref_of_rows(rows, m) == dense_rref(rows, ncols, m)
+    # modulo p * q a leading entry is a non-unit exactly when some prefix of
+    # the rows has different pivot columns mod p and mod q; otherwise the
+    # form reduces to each prime's form
+    split = any(rref_of_rows(rows[:k], p).keys() !=
+                rref_of_rows(rows[:k], q).keys()
+                for k in range(1, len(rows) + 1))
+    if split:
+        with pytest.raises(NonUnitPivotError):
+            rref_of_rows(rows, p * q)
+        return
+    at_pair = rref_of_rows(rows, p * q)
+    for m in (p, q):
+        reduced = {c: {cc: v % m for cc, v in row.items() if v % m}
+                   for c, row in at_pair.items()}
+        assert reduced == rref_of_rows(rows, m)
 
 
 def test_agree_over_primes_happy_path():
