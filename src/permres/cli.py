@@ -393,6 +393,7 @@ def main(argv=None):
         "cache_dir": cache_.directory,
         "prime_seed": args.prime_seed,
         "expensive": args.expensive,
+        "cap_nonzeros": args.cap_nonzeros,
     }
     error = None
     try:

@@ -191,7 +191,8 @@ def det_ideal_hilbert(n, kappa, t):
         return 0
     nvars = n * n
     quotient = monomial_count(nvars, t)
-    for j in range(1, resolution_length(n, r) + 1):
+    # a term at step j has degree s r + j >= r + j, so only j <= t - r count
+    for j in range(1, min(resolution_length(n, r), t - r) + 1):
         for term in lascoux_terms(n, r, j):
             if term.degree <= t:
                 quotient += (-1) ** j * term.dim * monomial_count(

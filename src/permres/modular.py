@@ -6,12 +6,16 @@ is the acceptance gate (silent error probability below 2^-30 per entry).
 
 Rank has one kernel, `rank_of_rows`: sparse Markowitz-style pivots picked
 through a bucket queue of row lengths, in pure Python with no dense finish.
+It ranks every matrix whose dimension alone is needed: the Koszul
+differentials, and for a Hilbert value each ideal block's spanning rows.
 All eliminations, and so the pivot sequence of every rank, are deterministic
 for a fixed modulus.
 
 The fully reduced echelon form, `rref_of_rows`, is one Gauss-Jordan pass
 over the rows in input order that keeps every pivot row fully reduced, with
-its pivots at the leading columns.
+its pivots at the leading columns.  It builds the quotient pieces of the
+Koszul windows only, whose bases need those pivots; no dimension is read
+off it.
 
 Both primes are checked in one pass.  By the Chinese remainder theorem
 Z/(p1 p2) is F_p1 x F_p2, so an elimination modulo M = p1 p2 whose every

@@ -19,12 +19,13 @@ orbit multiplicities, and the block's quotient basis with a reduction map mod p
 a prime or the product of the two primes of a `PrimePair`, which gives both
 primes' pieces, and every value, in one pass.  A window reads the ideal's
 dimension in a block off that piece, the block's monomials minus its
-quotient basis; a Hilbert value reads it with no piece built
-(`ideal_dim(w, p, cap)`).  For the matrix families the ideal's block is
-spanned by the products g * (M / t) over the block's monomials M and the
-generators g whose first term t divides M, and one fully reduced echelon
-form of those rows gives the piece, its number of pivots the ideal's
-dimension.
+quotient basis; a Hilbert value ranks the block's spanning rows
+(`ideal_dim(w, p, cap)`) and builds no piece.  For the matrix families the
+ideal's block is spanned by the products g * (M / t) over the block's
+monomials M and the generators g whose first term t divides M: the rank
+kernel (`rank_of_rows`) gives the ideal's dimension from those rows, and
+their fully reduced echelon form (`rref_of_rows`) gives the piece, which
+only a Koszul window builds.
 
 Inside this module a monomial is one int with a 16-bit exponent field per
 variable (`_pack`): x_v^e adds e << 16 v.  Multiplying by x_v adds
@@ -273,8 +274,8 @@ class _GridQuotient:
     the ideal's block and their nonzeros, its echelon form mod p read by
     position, and one memo of each weight's piece, keyed by (w, p).  So
     every cell and step of an ideal shares the blocks, and each modulus
-    reduces each orbit once; a Hilbert value reads each block's ideal
-    dimension (`ideal_dim`) and builds no piece."""
+    reduces each orbit once for the windows; a Hilbert value ranks each
+    block's rows (`ideal_dim`) and builds no echelon form or piece."""
 
     @staticmethod
     def weight(n, m):
@@ -323,8 +324,9 @@ class _GridQuotient:
         pivot monomials of the fully reduced echelon form of the ideal's
         block, relabelled onto w.  The cap is checked on every use, since
         callers sharing a block may pass different caps; a relabelling keeps
-        the block's nonzeros, and `rref_of_rows` reduces into fresh rows, so
-        the shared integer rows stay as built."""
+        the block's nonzeros, and `rref_of_rows`, like `rank_of_rows` in
+        `ideal_dim`, reduces into fresh rows, so the shared integer rows stay
+        as built."""
         rep, monos = self._block(w, cap)
         if (w, p) not in self._pieces:
             if (rep, p) not in self._echelons:
@@ -335,15 +337,11 @@ class _GridQuotient:
         return self._pieces[w, p]
 
     def ideal_dim(self, w, p, cap):
-        """Dimension of the ideal's weight-w block mod p, the rank of its
-        spanning rows: read off the representative's echelon form when it
-        is memoised, and otherwise eliminated with nothing memoised.  The
+        """Dimension of the ideal's weight-w block mod p: the rank of the
+        representative's spanning rows, with no echelon form built.  The
         cap is checked first, as in `quotient`."""
         rep, _ = self._block(w, cap)
-        if (rep, p) in self._echelons:
-            free, coeffs = self._echelons[rep, p]
-            return len(coeffs) - len(free)
-        return len(rref_of_rows(self._rows[rep][0], p))
+        return rank_of_rows(self._rows[rep][0], p)
 
     def _block(self, w, cap):
         """(representative, packed block monomials) of weight w (see
@@ -607,9 +605,9 @@ def _betti_block(quot, p, cap, i, w):
 def hilbert_oracle(spec, t, field_, *, cap=DEFAULT_NNZ_CAP):
     """dim I_t computed by brute force, as the sum over weights of the
     ideal's block dimensions (`ideal_dim`), with no piece built: for the
-    matrix families the number of pivots of the echelon form of
-    {generator * monomial} in that weight, and 0 or 1 per multidegree for
-    the square-free family.
+    matrix families the rank mod p of {generator * monomial} in that
+    weight (`rank_of_rows`), and 0 or 1 per multidegree for the square-free
+    family.
     One weight per orbit is visited and scaled by the orbit's size.  The
     square-free oracle builds no degree-t basis, so `cap` does not bound
     it.  Returns 0 for t below the generator degree."""

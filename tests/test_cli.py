@@ -20,7 +20,7 @@ from permres.cli import (
     main,
 )
 from permres.modular import NonUnitPivotError, PrimePair, prime_fields
-from permres.tensorspace import ResourceCapError
+from permres.tensorspace import DEFAULT_NNZ_CAP, ResourceCapError
 
 
 def run_cli(capsys, *argv):
@@ -104,6 +104,22 @@ def test_hilbert_two_prime_envelope(capsys):
         {2: 6, 3: 16, 4: 31}
     assert len(env["primes"]) == 2
     assert env["timing_seconds"] >= 0
+
+
+@pytest.mark.parametrize("given", [[], ["--cap-nonzeros", "1000"]],
+                         ids=["default", "given"])
+def test_request_records_the_cap(capsys, given):
+    # the request carries the cap next to `expensive`, so a capped run can
+    # be reproduced from its envelope
+    code, env = run_json(
+        capsys, "hilbert", "--family", "squarefree", "-n", "4", "-k", "2",
+        "--t", "2", *given, "--cache-dir", "none",
+    )
+    assert code == EXIT_OK
+    want = int(given[1]) if given else DEFAULT_NNZ_CAP
+    assert env["request"]["cap_nonzeros"] == want
+    assert env["request"]["expensive"] is False
+    assert "cap_nonzeros" not in env["request"]["params"]
 
 
 def test_betti_two_prime_envelope(capsys):
@@ -518,13 +534,24 @@ def test_cache_reuse_and_audit(capsys, tmp_path):
 
 
 def test_fallback_per_prime_matches_one_pass(capsys, tmp_path, monkeypatch):
-    # a real cell whose rank kernel meets a non-unit pivot over the pair of
-    # primes runs over each prime alone: same results and primes as the one
-    # pass, and one cache file per prime and cell
-    argv = ["betti", "--family", "subpermanents", "-n", "3", "-k", "2",
-            "--steps", "0..2", "--mode", "oracle"]
-    code, one_pass = run_json(capsys, *argv, "--cache-dir", "none")
-    assert code == EXIT_OK
+    # a real command whose rank kernel meets a non-unit pivot over the pair
+    # of primes runs each cell over each prime alone: same results and
+    # primes as the one pass, and one cache file per prime and cell.  A
+    # Hilbert value ranks its blocks with the same kernel, so it falls back
+    # too.  Each case is (argv, kind, the key fields of each cell)
+    ideal = ["--family", "subpermanents", "-n", "3", "-k", "2",
+             "--mode", "oracle"]
+    cases = [
+        (["betti", *ideal, "--steps", "0..2"], "betti",
+         [{"step": i, "degree": 2 + i} for i in range(3)]),
+        (["hilbert", *ideal, "--t", "2..4"], "hilbert",
+         [{"t": t} for t in range(2, 5)]),
+    ]
+    one_pass = []
+    for argv, _, _ in cases:
+        code, env = run_json(capsys, *argv, "--cache-dir", "none")
+        assert code == EXIT_OK
+        one_pass.append(env)
     rank = oracle.rank_of_rows
     pair = PrimePair(*prime_fields(0, 2))
     raised = []
@@ -536,20 +563,23 @@ def test_fallback_per_prime_matches_one_pass(capsys, tmp_path, monkeypatch):
         return rank(rows, p, **kwargs)
 
     monkeypatch.setattr(oracle, "rank_of_rows", non_unit_at_pair)
-    oracle._graded_quotient.cache_clear()
-    code, fallback = run_json(capsys, *argv, "--cache-dir", str(tmp_path))
-    assert code == EXIT_OK
-    assert len(raised) == 3  # each cell tried the pair first
-    assert fallback["results"] == one_pass["results"]
-    assert fallback["primes"] == one_pass["primes"] == \
-        [pair.first.modulus, pair.second.modulus]
-    files = {f for _, _, fs in os.walk(str(tmp_path)) for f in fs}
     key = ResultCache(None, __version__).key
-    assert files == {
-        key(prime=p, kind="betti", family="subpermanents", n=3, kappa=2,
-            step=i, degree=2 + i) + ".txt"
-        for p in one_pass["primes"] for i in range(3)
-    }
+    for (argv, kind, cells), want in zip(cases, one_pass):
+        oracle._graded_quotient.cache_clear()
+        raised.clear()
+        directory = tmp_path / kind
+        code, fallback = run_json(capsys, *argv, "--cache-dir", str(directory))
+        assert code == EXIT_OK
+        assert len(raised) == len(cells)  # each cell tried the pair first
+        assert fallback["results"] == want["results"]
+        assert fallback["primes"] == want["primes"] == \
+            [pair.first.modulus, pair.second.modulus]
+        files = {f for _, _, fs in os.walk(str(directory)) for f in fs}
+        assert files == {
+            key(prime=p, kind=kind, family="subpermanents", n=3, kappa=2,
+                **cell) + ".txt"
+            for p in want["primes"] for cell in cells
+        }
 
 
 def run_fresh(*argv):

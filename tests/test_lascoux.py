@@ -142,6 +142,23 @@ def test_det_ideal_hilbert_principal_case():
         assert det_ideal_hilbert(2, 2, t) == monomial_count(4, t - 2)
 
 
+def test_det_ideal_hilbert_walks_only_steps_of_low_degree(monkeypatch):
+    # a term at step j has degree s r + j >= r + j, so degree t needs steps
+    # j <= t - r only: the 2 x 2 minors of a 12 x 12 matrix in degree 3
+    # walk two of the 121 steps.  The quotient is the Segre ring, whose
+    # degree-t piece is S^t(C^12) (x) S^t(C^12)
+    calls = []
+
+    def counted(n, r, j):
+        calls.append(j)
+        return lascoux_terms(n, r, j)
+
+    monkeypatch.setattr(lascoux, "lascoux_terms", counted)
+    assert det_ideal_hilbert(12, 2, 3) == comb(146, 3) - comb(14, 3) ** 2 \
+        == 375584
+    assert calls == [1, 2]
+
+
 def test_perm_ambient_strand_first_step():
     for n in (2, 3, 4):
         for kappa in range(1, n + 1):

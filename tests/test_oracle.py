@@ -105,13 +105,15 @@ def test_grid_quotient_checks_generator_first_terms(monkeypatch):
 def test_blocks_built_once_per_ideal(capsys, monkeypatch):
     # one graded quotient holds an ideal's state across cells, steps and
     # commands: the generators are expanded once, and the one modulus, the
-    # product of both primes, reduces each representative's block once.
+    # product of both primes, reduces each representative block a window
+    # needs once; a Hilbert value only ranks a block's rows.
     # The grid of its n, which the next ideal of that n shares, enumerates
     # each orbit representative's basis and each representative wedge
     # weight's 0/1 matrices once; every other weight is relabelled
-    calls = {"mww": [], "expand": 0, "rref": []}
-    mww, expand, rref = (oracle.monomials_with_weight,
-                         oracle.expand_generators, oracle.rref_of_rows)
+    calls = {"mww": [], "expand": 0, "rref": [], "rank": []}
+    mww, expand, rref, rank = (oracle.monomials_with_weight,
+                               oracle.expand_generators, oracle.rref_of_rows,
+                               oracle.rank_of_rows)
 
     def counted_mww(n, wE, wF, bound=math.inf):
         calls["mww"].append(((wE, wF), bound))
@@ -125,9 +127,14 @@ def test_blocks_built_once_per_ideal(capsys, monkeypatch):
         calls["rref"].append((id(rows), p))
         return rref(rows, p)
 
+    def counted_rank(rows, p, **kwargs):
+        calls["rank"].append((id(rows), p))
+        return rank(rows, p, **kwargs)
+
     monkeypatch.setattr(oracle, "monomials_with_weight", counted_mww)
     monkeypatch.setattr(oracle, "expand_generators", counted_expand)
     monkeypatch.setattr(oracle, "rref_of_rows", counted_rref)
+    monkeypatch.setattr(oracle, "rank_of_rows", counted_rank)
     ideal = ["--family", "minors", "-n", "3", "-k", "2", "--mode", "oracle",
              "--cache-dir", "none"]
     assert cli.main(["betti", "--steps", "0..3", *ideal]) == 0
@@ -141,7 +148,9 @@ def test_blocks_built_once_per_ideal(capsys, monkeypatch):
     moduli = {p for _, p in reduced}
     assert moduli == {math.prod(f.modulus for f in prime_fields(0, 2))}
     assert set(quot._rows) == set(grid._blocks)
-    assert sorted(reduced) == sorted(itertools.product(grid._blocks, moduli))
+    # only the windows' pieces reduce a block, each once per modulus
+    assert sorted(reduced) == sorted(quot._echelons)
+    assert {rep for rep, _ in reduced} < set(grid._blocks)
     listed = [(w, math.inf) for w in grid._blocks] + [
         (t, 1) for t in grid._wedges if _relabelling(3, t)[0] == t]
     assert Counter(calls["mww"]) == Counter(listed)
@@ -155,12 +164,19 @@ def test_blocks_built_once_per_ideal(capsys, monkeypatch):
     assert all(grid._orbit[rep][0] == rep for rep in grid._blocks)
     assert len(grid._orbit) > len(grid._blocks)
     # the sub-permanents of the same n share the grid: listing only weights
-    # the minors did not, and, Hilbert values only, building no piece
+    # the minors did not, and, Hilbert values only, building no piece and
+    # reducing nothing: each degree ranks each dominant block's rows once
     ideal[1] = "subpermanents"
+    calls["rref"].clear()
+    calls["rank"].clear()
     assert cli.main(["hilbert", "--t", "2..7", *ideal]) == 0
     capsys.readouterr()
     quot = _graded_quotient(IdealSpec("subpermanents", 3, 2))
     assert quot.grid is grid and calls["expand"] == 2
+    assert not calls["rref"]
+    dominant = [w for t in range(2, 8) for w, _ in quot.weights(t)]
+    assert Counter(calls["rank"]) == Counter(
+        (id(quot._rows[w][0]), p) for w in dominant for p in moduli)
     assert calls["mww"][len(listed):]
     assert not set(calls["mww"][len(listed):]) & set(listed)
     assert not quot._pieces and not quot._echelons
