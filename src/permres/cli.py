@@ -95,35 +95,10 @@ def _family(name):
     return name
 
 
-def _hilbert_formula(family, n, kappa, t):
-    if family == "squarefree":
-        return formulas.sqfree_ideal_hilbert(n, kappa, t)
-    if family == "minors":
-        # no term enumeration in the degenerate size-1 case
-        if kappa == 1:
-            return None
-        return lascoux.det_ideal_hilbert(n, kappa, t)
-    if kappa == 2:
-        return formulas.perm2_ideal_hilbert(n, t)
-    return None
-
-
-def _betti_formula(family, n, kappa, i, d):
-    if family == "squarefree":
-        return formulas.sqfree_betti(n, kappa, i) if d == kappa + i else 0
-    if family == "minors":
-        if kappa == 1:
-            return None
-        return sum(t.dim for t in lascoux.lascoux_terms(n, kappa - 1, i + 1)
-                   if t.degree == d)
-    if d == kappa + i:
-        return formulas.perm_linear_strand_dim(n, kappa, i + 1)
-    return None
-
-
 def _cells(args, cache_, kind, cells, formula, oracle):
     """One row per cell: the cell's keys, the closed form
-    formula(family, n, kappa, *keys), the oracle value
+    formula(spec, *keys) (`formulas.hilbert_formula` or `betti_formula`,
+    the dispatch `permres verify` checks too), the oracle value
     oracle(spec, *keys, field, cap=cap) agreed over two primes, and whether
     the two match.  Each value is cached under the cell's keys and its
     field's modulus: one file for the pass over both primes, or one per
@@ -143,8 +118,7 @@ def _cells(args, cache_, kind, cells, formula, oracle):
     for cell in cells:
         row = dict(cell)
         if args.mode in ("formula", "both"):
-            row["formula"] = formula(spec.family, spec.n, spec.kappa,
-                                     *cell.values())
+            row["formula"] = formula(spec, *cell.values())
         if args.mode in ("oracle", "both"):
             row["oracle"], primes = agree_over_primes(
                 lambda f: cache_.get_or_compute(
@@ -160,7 +134,7 @@ def _cells(args, cache_, kind, cells, formula, oracle):
 
 def cmd_hilbert(args, cache_):
     cells = [{"t": t} for t in _parse_range(args.t)]
-    return _cells(args, cache_, "hilbert", cells, _hilbert_formula,
+    return _cells(args, cache_, "hilbert", cells, formulas.hilbert_formula,
                   hilbert_oracle)
 
 
@@ -171,7 +145,8 @@ def cmd_betti(args, cache_):
     cells = [{"step": i,
               "degree": args.kappa + i if args.deg is None else args.deg}
              for i in steps]
-    return _cells(args, cache_, "betti", cells, _betti_formula, betti_oracle)
+    return _cells(args, cache_, "betti", cells, formulas.betti_formula,
+                  betti_oracle)
 
 
 def _term_row(term):

@@ -1,5 +1,8 @@
 """Closed-form dimension formulas, each paired with an independent oracle
-check in the test suite.
+check in the test suite, and the dispatch that says which closed form
+answers a cell: `hilbert_formula(spec, t)` and `betti_formula(spec, i, d)`,
+None where there is none.  The CLI's `formula` column and the oracle rows of
+`permres verify` both read it.
 
 Conventions: Betti-table steps are 0-based with step 0 the minimal
 generators, and `j` counts resolution terms 1-based (j = step + 1), so the
@@ -9,6 +12,7 @@ kappa + j - 1.
 
 from math import comb
 
+from . import lascoux
 from .partitions import hook_partition, schur_dim
 
 
@@ -129,3 +133,32 @@ def det_linear_strand_dim(n, r, j):
             hook_partition(b + 1, r + a), n
         )
     return total
+
+
+def hilbert_formula(spec, t):
+    """dim I_t of the ideal `spec` in closed form: the square-free count,
+    the minors' Euler characteristic over Lascoux's terms, or the 2x2
+    sub-permanents; None for sub-permanents of size 3 or more, and for
+    minors of size 1, which have no term enumeration."""
+    n, kappa = spec.n, spec.kappa
+    if spec.family == "squarefree":
+        return sqfree_ideal_hilbert(n, kappa, t)
+    if spec.family == "minors":
+        return None if kappa == 1 else lascoux.det_ideal_hilbert(n, kappa, t)
+    return perm2_ideal_hilbert(n, t) if kappa == 2 else None
+
+
+def betti_formula(spec, i, d):
+    """b_{i,d} of the ideal `spec` in closed form: the square-free
+    resolution, which is linear; the minors' Lascoux terms of degree d at
+    step i + 1 (None for minors of size 1); the sub-permanents' linear
+    strand, and None off it."""
+    n, kappa = spec.n, spec.kappa
+    if spec.family == "squarefree":
+        return sqfree_betti(n, kappa, i) if d == kappa + i else 0
+    if spec.family == "minors":
+        if kappa == 1:
+            return None
+        return sum(t.dim for t in lascoux.lascoux_terms(n, kappa - 1, i + 1)
+                   if t.degree == d)
+    return perm_linear_strand_dim(n, kappa, i + 1) if d == kappa + i else None

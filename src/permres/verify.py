@@ -1,7 +1,13 @@
 """Verification suites: every closed form against its independent oracle,
 every explicit syzygy vector against the differential, and both resolution
 engines against each other.  Each check yields a row {suite, check, ok,
-detail} so the results serialize directly into the CLI envelope."""
+detail} so the results serialize directly into the CLI envelope.
+
+The oracle rows (`_oracle_row`) check the closed forms the CLI reports,
+through the same dispatch (`formulas.hilbert_formula` and `betti_formula`),
+and agree each row's oracle values over two primes as the CLI agrees a cell
+(`agree_over_primes`): one pass modulo p1 p2 per row, and one prime at a
+time only when a pivot of that pass is not a unit."""
 
 import itertools
 import random
@@ -18,13 +24,52 @@ from .ideals import (
     submatrix_polynomial,
     tensor_laplace,
 )
-from .modular import prime_fields
+from .modular import agree_over_primes
 from .partitions import partitions, schur_dim
 from .tensorspace import koszul_transpose
 
 
 def _row(suite, check, ok, detail=""):
     return {"suite": suite, "check": check, "ok": bool(ok), "detail": detail}
+
+
+def _oracle_row(suite, check, cells, formula, oracle_, seed):
+    """The row `check` of `suite` over the cells (spec, *keys): each cell's
+    closed form formula(spec, *keys) against its oracle value
+    oracle_(spec, *keys, field).  The row's oracle values are computed in
+    one `agree_over_primes` call, so the primes agree on the whole list: one
+    pass modulo p1 p2, and each prime alone (a third to break a tie) when a
+    pivot of that pass is not a unit.  So if the two primes disagree at two
+    different cells of one row, a third prime agrees with neither list and
+    `PrimeDisagreementError` is raised; that takes two independent bad
+    primes, and the CLI maps it to exit 2.  The detail lists the cells that
+    mismatch, each as (n, kappa, *keys, oracle, formula)."""
+    values, _ = agree_over_primes(
+        lambda field: [oracle_(spec, *keys, field) for spec, *keys in cells],
+        seed)
+    bad = [(spec.n, spec.kappa, *keys, got, want)
+           for (spec, *keys), got in zip(cells, values)
+           if got != (want := formula(spec, *keys))]
+    return _row(suite, check, not bad, str(bad))
+
+
+def _sqfree_hilbert(spec, d):
+    """`hilbert_formula` of a square-free ideal, or None (a mismatch) when
+    it and the quotient's closed form do not add up to every degree-d
+    monomial."""
+    want = formulas.hilbert_formula(spec, d)
+    quot = formulas.sqfree_quotient_hilbert(spec.n, spec.kappa, d)
+    return want if want + quot == comb(spec.n + d - 1, d) else None
+
+
+def _det_strand(spec, i, d):
+    """The linear strand of the minors at step i from its hook-pair sum,
+    independent of Lascoux's terms."""
+    return formulas.det_linear_strand_dim(spec.n, spec.kappa - 1, i + 1)
+
+
+def _quotient_dim(spec, t, field):
+    return oracle.quotient_basis(spec, t, field)[1]
 
 
 def _unbounded_strand_pairs(n, r, j):
@@ -46,73 +91,37 @@ def _unbounded_strand_pairs(n, r, j):
 def verify_formulas(expensive=False, seed=0):
     """Closed forms vs oracles: sub-permanent Hilbert grid, square-free
     Hilbert/Betti grids, determinantal strand, linear-strand dims."""
-    rows = []
-    field = prime_fields(seed, 1)[0]
-
-    for n in (2, 3, 4):
-        spec = IdealSpec("subpermanents", n, 2)
-        bad = []
-        for t in range(2, 7):
-            got = oracle.hilbert_oracle(spec, t, field)
-            want = formulas.perm2_ideal_hilbert(n, t)
-            if got != want:
-                bad.append((t, got, want))
-        rows.append(_row("formulas", f"perm2-hilbert-n{n}", not bad, str(bad)))
-
-    for n in range(2, 7):
-        bad = []
-        for kappa in range(1, n + 1):
-            spec = IdealSpec("squarefree", n, kappa)
-            for d in range(0, 9):
-                got = oracle.hilbert_oracle(spec, d, field)
-                want = formulas.sqfree_ideal_hilbert(n, kappa, d)
-                quot = formulas.sqfree_quotient_hilbert(n, kappa, d)
-                if got != want or want + quot != comb(n + d - 1, d):
-                    bad.append((kappa, d, got, want, quot))
-        rows.append(_row("formulas", f"squarefree-hilbert-n{n}", not bad,
-                         str(bad)))
-
-    bad = []
-    for n in range(2, 7):
-        for kappa in range(1, n + 1):
-            spec = IdealSpec("squarefree", n, kappa)
-            for i in range(0, n - kappa + 2):
-                got = oracle.betti_oracle(spec, i, kappa + i, field)
-                want = formulas.sqfree_betti(n, kappa, i)
-                if got != want:
-                    bad.append((n, kappa, i, got, want))
-    rows.append(_row("formulas", "squarefree-betti-grid", not bad, str(bad)))
-
-    bad = []
-    for n in (3, 4):
-        for kappa in (2, 3):
-            if kappa > n - 1:
-                continue
-            spec = IdealSpec("subpermanents", n, kappa)
-            for j in (1, 2, 3):
-                got = oracle.betti_oracle(spec, j - 1, kappa + j - 1, field)
-                want = formulas.perm_linear_strand_dim(n, kappa, j)
-                if got != want:
-                    bad.append((n, kappa, j, got, want))
-    rows.append(_row("formulas", "perm-linear-strand-vs-koszul", not bad,
-                     str(bad)))
-
-    bad = []
-    for n in (3, 4):
-        for r in (1, 2):
-            if r >= n:
-                continue
-            spec = IdealSpec("minors", n, r + 1)
-            got = oracle.betti_oracle(spec, 1, r + 2, field)
-            want = formulas.det_linear_strand_dim(n, r, 2)
-            if got != want:
-                bad.append((n, r, got, want))
-    rows.append(_row("formulas", "det-strand-step2-vs-koszul", not bad,
-                     str(bad)))
+    hilbert = formulas.hilbert_formula, oracle.hilbert_oracle
+    betti = formulas.betti_formula, oracle.betti_oracle
+    squarefree = {n: [IdealSpec("squarefree", n, kappa)
+                      for kappa in range(1, n + 1)] for n in range(2, 7)}
+    table = [
+        *((f"perm2-hilbert-n{n}",
+           [(IdealSpec("subpermanents", n, 2), t) for t in range(2, 7)],
+           *hilbert) for n in (2, 3, 4)),
+        *((f"squarefree-hilbert-n{n}",
+           [(spec, d) for spec in specs for d in range(0, 9)],
+           _sqfree_hilbert, oracle.hilbert_oracle)
+          for n, specs in squarefree.items()),
+        ("squarefree-betti-grid",
+         [(spec, i, spec.kappa + i) for specs in squarefree.values()
+          for spec in specs
+          for i in range(0, spec.n - spec.kappa + 2)], *betti),
+        ("perm-linear-strand-vs-koszul",
+         [(IdealSpec("subpermanents", n, kappa), i, kappa + i)
+          for n in (3, 4) for kappa in (2, 3) if kappa <= n - 1
+          for i in range(0, 3)], *betti),
+        ("det-strand-step2-vs-koszul",
+         [(IdealSpec("minors", n, r + 1), 1, r + 2)
+          for n in (3, 4) for r in (1, 2) if r < n],
+         _det_strand, oracle.betti_oracle),
+    ]
+    rows = [_oracle_row("formulas", *entry, seed) for entry in table]
 
     if expensive:
         spec = IdealSpec("subpermanents", 5, 3)
-        got = oracle.betti_oracle(spec, 1, 6, field)
+        got, _ = agree_over_primes(
+            lambda field: oracle.betti_oracle(spec, 1, 6, field), seed)
         rows.append(_row("formulas", "perm-5-3-first-syzygies-degree-6",
                          got == 5200, f"got {got}, expected 5200"))
     return rows
@@ -231,15 +240,11 @@ def verify_lascoux(expensive=False, seed=0):
                     bad.append((n, r, j, "symmetry"))
     rows.append(_row("lascoux", "length-and-symmetry", not bad, str(bad)))
 
-    field = prime_fields(seed, 1)[0]
     spec = IdealSpec("minors", 3, 2)
-    bad = []
-    for t in range(2, 7):
-        via_euler = lascoux.det_ideal_hilbert(3, 2, t)
-        via_rank = oracle.hilbert_oracle(spec, t, field)
-        if via_euler != via_rank:
-            bad.append((t, via_euler, via_rank))
-    rows.append(_row("lascoux", "euler-vs-rank-oracle", not bad, str(bad)))
+    rows.append(_oracle_row("lascoux", "euler-vs-rank-oracle",
+                            [(spec, t) for t in range(2, 7)],
+                            formulas.hilbert_formula, oracle.hilbert_oracle,
+                            seed))
 
     bad = []
     rng = random.Random(seed)
@@ -271,7 +276,6 @@ def verify_simplicial(expensive=False, seed=0):
     """Face counts against the f-vector formula, h-vectors against Betti
     numerators, duality involution, and the Stanley-Reisner Hilbert count."""
     rows = []
-    field = prime_fields(seed, 1)[0]
 
     bad = []
     for n in (2, 3, 4, 5):
@@ -323,21 +327,21 @@ def verify_simplicial(expensive=False, seed=0):
                 bad.append((n, m, "involution"))
     rows.append(_row("simplicial", "alexander-duality", not bad, str(bad)))
 
-    bad = []
-    for n in (3, 4, 5):
-        for kappa in range(2, n + 1):
-            skel = simplicial.skeleton_complex(n, kappa - 2)
-            f = skel.f_vector()
-            spec = IdealSpec("squarefree", n, kappa)
-            for t in range(1, 7):
-                stanley = sum(
-                    f[i] * comb(t - 1, i - 1) for i in range(1, len(f))
-                )
-                _, qdim = oracle.quotient_basis(spec, t, field)
-                if stanley != qdim:
-                    bad.append((n, kappa, t, stanley, qdim))
-    rows.append(_row("simplicial", "stanley-reisner-hilbert", not bad,
-                     str(bad)))
+    # dim (S/I)_t of a square-free ideal from the f-vector of its
+    # Stanley-Reisner complex, the (kappa-2)-skeleton
+    f_vectors = {
+        (n, kappa): simplicial.skeleton_complex(n, kappa - 2).f_vector()
+        for n in (3, 4, 5) for kappa in range(2, n + 1)
+    }
+
+    def stanley_reisner(spec, t):
+        f = f_vectors[spec.n, spec.kappa]
+        return sum(f[i] * comb(t - 1, i - 1) for i in range(1, len(f)))
+
+    cells = [(IdealSpec("squarefree", n, kappa), t)
+             for n, kappa in f_vectors for t in range(1, 7)]
+    rows.append(_oracle_row("simplicial", "stanley-reisner-hilbert", cells,
+                            stanley_reisner, _quotient_dim, seed))
     return rows
 
 

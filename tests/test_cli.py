@@ -292,6 +292,18 @@ def test_verify_suite(capsys):
         assert all(r["ok"] for r in env["results"]), suite
 
 
+@pytest.mark.expensive
+def test_verify_expensive_row(capsys):
+    # the 5200 cell of the n=5, kappa=3 sub-permanents, over two primes
+    code, env = run_json(capsys, "verify", "--suite", "formulas",
+                         "--expensive", "--cache-dir", "none")
+    assert code == EXIT_OK
+    assert [r["check"] for r in env["results"]] == VERIFY_CHECKS["formulas"] \
+        + ["perm-5-3-first-syzygies-degree-6", "summary"]
+    assert all(r["ok"] for r in env["results"])
+    assert env["results"][-2]["detail"] == "got 5200, expected 5200"
+
+
 def test_invalid_parameters_exit_code(capsys, tmp_path):
     code = main(["hilbert", "--family", "nonsense", "-n", "3", "-k", "2",
                  "--t", "2", "--cache-dir", str(tmp_path)])
