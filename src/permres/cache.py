@@ -5,17 +5,20 @@ cache hits is audited by recomputing the value; a mismatch means the cache
 or the arithmetic is broken and raises."""
 
 import hashlib
-import logging
 import os
 import random
 import tempfile
-
-log = logging.getLogger(__name__)
 
 HEADER_PREFIX = "# permres-cache "
 
 # Share of cache hits that are recomputed and compared with the stored value.
 AUDIT_FRACTION = 0.05
+
+
+def _warn(message, *args):
+    # only an ignored cache file logs, so only it loads logging
+    import logging
+    logging.getLogger(__name__).warning(message, *args)
 
 
 class CacheCorruptionError(RuntimeError):
@@ -52,13 +55,13 @@ class ResultCache:
             with open(path) as fh:
                 header = fh.readline()
                 if not header.startswith(HEADER_PREFIX):
-                    log.warning("ignoring malformed cache file %s", path)
+                    _warn("ignoring malformed cache file %s", path)
                     return None
                 return int(fh.readline())
         except FileNotFoundError:
             return None
         except ValueError:
-            log.warning("ignoring unreadable cache payload %s", path)
+            _warn("ignoring unreadable cache payload %s", path)
             return None
 
     def put(self, key, value):

@@ -9,16 +9,17 @@ Exit codes: 0 success, 2 formula/oracle mismatch, failed verification,
 failed cache audit or three disagreeing primes, 3 resource cap exceeded,
 4 invalid parameters, among them a negative step (also `lascoux -j`),
 degree or --cap-nonzeros, which is rejected before any cell runs, an
-oracle degree of 2^16 or more, an `sr` --dim that disagrees with -k - 2
-or either option given for perm2, and a cache directory that cannot be
-opened, read or written (a message on stderr, nothing on stdout).  A
-failure with exit 2 or 3 that leaves no results prints an `error` object
-(its type and message) next to the empty results; with --csv that is one
-row with `error` and `message` columns.
+oracle degree of 2^16 or more, a --t or --steps range of more than 2^16
+values (`MAX_RANGE`, the same limit, checked before the range is built),
+an `sr` --dim that disagrees with -k - 2 or either option given for
+perm2, and a cache directory that cannot be opened, read or written (a
+message on stderr, nothing on stdout).  A failure with exit 2 or 3 that
+leaves no results prints an `error` object (its type and message) next to
+the empty results; with --csv that is one row with `error` and `message`
+columns.
 """
 
 import argparse
-import csv
 import json
 import os
 import random
@@ -39,6 +40,9 @@ EXIT_RESOURCE = 3
 EXIT_INVALID = 4
 
 CACHE_ENV = "PERMRES_CACHE_DIR"
+
+# most values one --t or --steps range may hold: the oracle's degree limit
+MAX_RANGE = 1 << 16
 
 # failures that end in an `error` envelope: exception -> (type, exit code)
 _ERRORS = {
@@ -66,6 +70,9 @@ def _parse_range(text):
             lo, hi = int(lo), int(hi)
             if hi < lo:
                 raise ValueError(f"empty range {text!r}")
+            if hi - lo >= MAX_RANGE:
+                raise ValueError(f"range {text!r} has {hi - lo + 1} values, "
+                                 f"more than {MAX_RANGE}")
             return list(range(lo, hi + 1))
     return [int(part) for part in text.split(",")]
 
@@ -248,6 +255,7 @@ def _emit(envelope, fmt, stream):
         for key in row:
             if key not in fieldnames:
                 fieldnames.append(key)
+    import csv  # only a CSV run needs it
     writer = csv.DictWriter(stream, fieldnames=fieldnames, extrasaction="ignore")
     writer.writeheader()
     for row in rows:

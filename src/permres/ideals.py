@@ -3,7 +3,7 @@ square-free monomials, tensor Laplace expansions, and highest-weight syzygies
 of determinantal ideals."""
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .tensorspace import TensorElement, grid_index, mono_one, mono_times_var
 
@@ -13,45 +13,42 @@ DETERMINANT = "determinant"
 PERMANENT = "permanent"
 
 
-@dataclass(frozen=True)
-class IdealSpec:
+class IdealSpec(namedtuple("IdealSpec", "family n kappa")):
     """Symbolic descriptor of an ideal family: kappa x kappa sub-permanents
     or minors of an n x n matrix of variables, or the square-free degree-kappa
-    monomials in n variables."""
+    monomials in n variables.  An immutable named tuple, checked when made."""
 
-    family: str
-    n: int
-    kappa: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if not (1 <= self.kappa <= self.n):
-            raise ValueError(f"need 1 <= kappa <= n, got kappa={self.kappa}, "
-                             f"n={self.n}")
+    def __new__(cls, family, n, kappa):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if not (1 <= kappa <= n):
+            raise ValueError(f"need 1 <= kappa <= n, got kappa={kappa}, "
+                             f"n={n}")
+        return super().__new__(cls, family, n, kappa)
 
     @property
     def nvars(self):
         return self.n if self.family == "squarefree" else self.n * self.n
 
 
-@dataclass(frozen=True)
-class SubmatrixSelector:
+class SubmatrixSelector(namedtuple("SubmatrixSelector", "rows cols")):
     """Row and column labels (1-based, sorted) of a square submatrix.  Rows
     or columns may repeat, which is how the repeated-index Laplace
-    expansions are built."""
+    expansions are built.  An immutable named tuple, checked when made."""
 
-    rows: tuple
-    cols: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.rows) != len(self.cols):
+    def __new__(cls, rows, cols):
+        if len(rows) != len(cols):
             raise ValueError("selector must be square")
-        for seq in (self.rows, self.cols):
+        for seq in (rows, cols):
             if any(a > b for a, b in zip(seq, seq[1:])):
                 raise ValueError(f"selector labels must be sorted: {seq}")
             if min(seq, default=1) < 1:
                 raise ValueError("labels are 1-based")
+        return super().__new__(cls, rows, cols)
 
     @property
     def size(self):

@@ -7,35 +7,29 @@ linear strand of the ambient ideal containing the sub-permanents.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb, isqrt
 
 from .partitions import conjugate, partitions, schur_dim, specht_dim
 from .tensorspace import monomial_count
 
 
-@dataclass(frozen=True)
-class ResolutionTerm:
+class ResolutionTerm(namedtuple(
+        "ResolutionTerm", "step strand degree lam_e lam_f dim")):
     """One irreducible generating module at a resolution step: a pair of
-    partitions and its dimension at the given matrix size."""
+    partitions and its dimension at the given matrix size.  An immutable
+    named tuple."""
 
-    step: int
-    strand: int
-    degree: int
-    lam_e: tuple
-    lam_f: tuple
-    dim: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BottOutcome:
+class BottOutcome(namedtuple("BottOutcome", "wall degree partition",
+                             defaults=(None, None))):
     """Result of the dotted Weyl walk: either a cohomology degree (the
     number of dotted reflections applied) with the resulting partition, or a
-    wall (no cohomology)."""
+    wall (no cohomology).  An immutable named tuple."""
 
-    wall: bool
-    degree: int = None
-    partition: tuple = None
+    __slots__ = ()
 
 
 def _strip(parts):

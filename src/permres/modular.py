@@ -27,11 +27,8 @@ cell over each prime alone.
 """
 
 import heapq
-import logging
 import random
-from dataclasses import dataclass
-
-log = logging.getLogger(__name__)
+from collections import namedtuple
 
 # Deterministic Miller-Rabin witnesses for every modulus below 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -82,30 +79,28 @@ def is_prime(m):
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(namedtuple("PrimeField", "modulus")):
     """A prime field with a 31-bit modulus, drawn at random so that its
-    chance of dividing one of a matrix's minors is small."""
+    chance of dividing one of a matrix's minors is small.  An immutable
+    named tuple, checked when made."""
 
-    modulus: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        p = self.modulus
-        if not (PRIME_LOW < p < PRIME_HIGH):
-            raise ValueError(f"modulus {p} not in (2^30, 2^31)")
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+    def __new__(cls, modulus):
+        if not (PRIME_LOW < modulus < PRIME_HIGH):
+            raise ValueError(f"modulus {modulus} not in (2^30, 2^31)")
+        if not is_prime(modulus):
+            raise ValueError(f"modulus {modulus} is not prime")
+        return super().__new__(cls, modulus)
 
 
-@dataclass(frozen=True)
-class PrimePair:
+class PrimePair(namedtuple("PrimePair", "first second")):
     """Two prime fields at once: the ring Z/(p1 p2), which is F_p1 x F_p2.
     Its `modulus` stands in for a prime in the kernels and the oracles as
     long as every pivot is a unit.  It is no `PrimeField`, whose modulus
-    must be prime."""
+    must be prime.  An immutable named tuple of two `PrimeField`s."""
 
-    first: PrimeField
-    second: PrimeField
+    __slots__ = ()
 
     @property
     def modulus(self):
@@ -282,6 +277,10 @@ def agree_over_primes(compute, seed=0):
     try:
         return compute(PrimePair(f1, f2)), [f1.modulus, f2.modulus]
     except NonUnitPivotError as exc:
+        # only a fallback logs (a tie-break comes after one), so only it
+        # loads logging
+        import logging
+        log = logging.getLogger(__name__)
         log.info("one pass over both primes failed (%s); "
                  "one prime at a time", exc)
     v1 = compute(f1)

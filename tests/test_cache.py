@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from permres.cache import CacheCorruptionError, ResultCache
+from permres.cache import HEADER_PREFIX, CacheCorruptionError, ResultCache
 
 
 def _cache(tmp_path, audit=False):
@@ -69,14 +69,22 @@ def test_audit_passes_when_consistent(tmp_path):
     assert c.audits == 1
 
 
-def test_malformed_files_ignored(tmp_path):
+def test_malformed_files_ignored(tmp_path, caplog):
     c = _cache(tmp_path)
     key = c.key(kind="x", cell=1)
     c.put(key, 7)
     path = os.path.join(c.directory, key[:2], key + ".txt")
     with open(path, "w") as fh:
         fh.write("garbage\n")
-    assert c.get(key) is None
+    with caplog.at_level("WARNING", logger="permres.cache"):
+        assert c.get(key) is None
+        with open(path, "w") as fh:
+            fh.write(HEADER_PREFIX + "\nnot a number\n")
+        assert c.get(key) is None
+    assert [(r.name, r.getMessage()) for r in caplog.records] == [
+        ("permres.cache", f"ignoring malformed cache file {path}"),
+        ("permres.cache", f"ignoring unreadable cache payload {path}"),
+    ]
 
 
 def test_version_isolation(tmp_path):

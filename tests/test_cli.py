@@ -23,6 +23,10 @@ from permres.modular import NonUnitPivotError, PrimePair, prime_fields
 from permres.tensorspace import DEFAULT_NNZ_CAP, ResourceCapError
 
 
+SRC = os.path.abspath(
+    os.path.join(os.path.dirname(os.path.dirname(__file__)), "src"))
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -41,6 +45,40 @@ def test_parse_range():
     assert _parse_range("1,4,6") == [1, 4, 6]
     with pytest.raises(ValueError):
         _parse_range("5..2")
+    # a range holds at most 2^16 values, the oracle's degree limit
+    assert _parse_range("0..65535") == list(range(65536))
+    assert _parse_range("7:65542")[-1] == 65542
+    for text in ("0..65536", "7:65543"):
+        with pytest.raises(ValueError, match="has 65537 values"):
+            _parse_range(text)
+
+
+def test_overlong_range_exits_before_it_is_built():
+    # a list of 10^9 steps or degrees would take gigabytes: both commands
+    # exit 4 at once.  The child's address space is capped, so a build of
+    # the list fails there with MemoryError instead of filling the machine
+    script = (
+        "import resource, sys, time\n"
+        f"sys.path.insert(0, {SRC!r})\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "import permres.cli\n"
+        "for argv in (['betti', '--steps', '0..1000000000'],\n"
+        "             ['hilbert', '--t', '0..1000000000']):\n"
+        "    started = time.perf_counter()\n"
+        "    code = permres.cli.main(argv + ['--family', 'squarefree', '-n',\n"
+        "                            '3', '-k', '1', '--cache-dir', 'none'])\n"
+        "    print(code, time.perf_counter() - started)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        code, seconds = line.split()
+        assert int(code) == EXIT_INVALID
+        assert float(seconds) < 0.5
+    assert done.stderr.count("has 1000000001 values") == 2
 
 
 def test_hilbert_both_modes(capsys, tmp_path):
@@ -594,20 +632,25 @@ def test_fallback_per_prime_matches_one_pass(capsys, tmp_path, monkeypatch):
         }
 
 
+# modules a JSON CLI call has no use for: numpy is a test dependency only,
+# the records are named tuples (no dataclasses, and so no inspect), and
+# logging and csv are imported by the branches that log or write CSV
+UNUSED_BY_CLI = ("numpy", "dataclasses", "inspect", "logging", "csv")
+
+
 def run_fresh(*argv):
-    """(exit code, envelope, whether numpy was loaded, peak RSS in MB) of a
-    CLI call in a fresh interpreter with `src` on the path."""
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    """(exit code, envelope, which of `UNUSED_BY_CLI` were loaded, peak RSS
+    in MB) of a CLI call in a fresh interpreter with `src` on the path."""
     script = (
         "import contextlib, io, json, resource, sys\n"
-        f"sys.path.insert(0, {os.path.abspath(src)!r})\n"
+        f"sys.path.insert(0, {SRC!r})\n"
         "import permres.cli\n"
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"
         f"    code = permres.cli.main({list(argv)!r})\n"
         "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
-        "print(json.dumps([code, json.loads(out.getvalue()),"
-        " 'numpy' in sys.modules, peak]))\n"
+        f"loaded = [m for m in {UNUSED_BY_CLI!r} if m in sys.modules]\n"
+        "print(json.dumps([code, json.loads(out.getvalue()), loaded, peak]))\n"
     )
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120)
@@ -618,11 +661,14 @@ def run_fresh(*argv):
 def test_package_runs_without_numpy():
     # numpy is a test dependency only: a fresh interpreter imports the CLI
     # and computes a betti row without loading it
-    code, _, numpy_loaded, _ = run_fresh(
+    code, env, loaded, _ = run_fresh(
         "betti", "--family", "subpermanents", "-n", "3", "-k", "2",
         "--steps", "0..1", "--cache-dir", "none")
-    assert code == EXIT_OK
-    assert not numpy_loaded
+    assert code == EXIT_OK and env["results"]
+    assert "numpy" not in loaded
+    # nor any other module it has no use for: every CLI process pays for its
+    # imports before its first cell
+    assert loaded == []
 
 
 def test_betti_past_the_exterior_algebra(capsys):

@@ -357,9 +357,13 @@ def _per_prime(values):
     return compute, seen
 
 
-def test_agree_over_primes_falls_back_per_prime():
+def test_agree_over_primes_falls_back_per_prime(caplog):
     compute, seen = _per_prime([5, 5])
-    value, primes = agree_over_primes(compute, seed=1)
+    with caplog.at_level("INFO", logger="permres.modular"):
+        value, primes = agree_over_primes(compute, seed=1)
+    assert [(r.name, r.levelname) for r in caplog.records] == \
+        [("permres.modular", "INFO")]
+    assert "one prime at a time" in caplog.records[0].message
     f1, f2 = prime_fields(1, 2)
     assert value == 5
     assert primes == [f1.modulus, f2.modulus]
