@@ -157,14 +157,8 @@ def cmd_betti(args, cache_):
 
 
 def _term_row(term):
-    return {
-        "step": term.step,
-        "strand": term.strand,
-        "degree": term.degree,
-        "lam_e": list(term.lam_e),
-        "lam_f": list(term.lam_f),
-        "dim": term.dim,
-    }
+    return {**term._asdict(), "lam_e": list(term.lam_e),
+            "lam_f": list(term.lam_f)}
 
 
 def cmd_lascoux(args, cache_):

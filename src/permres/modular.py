@@ -4,8 +4,9 @@ Rank over F_p lower-bounds rank over Q and equals it unless p divides one of
 finitely many minors; agreement over two independently chosen 31-bit primes
 is the acceptance gate (silent error probability below 2^-30 per entry).
 
-Rank has one kernel, `rank_of_rows`: sparse Markowitz-style pivots picked
-through a bucket queue of row lengths, in pure Python with no dense finish.
+Rank has one kernel, `rank_of_rows`: sparse Markowitz-style pivots, the
+next pivot row taken from one heap of (row length, input position) pairs,
+in pure Python with no dense finish.
 It ranks every matrix whose dimension alone is needed: the Koszul
 differentials, and for a Hilbert value each ideal block's spanning rows.
 All eliminations, and so the pivot sequence of every rank, are deterministic
@@ -134,10 +135,11 @@ def rank_of_rows(rows, p, *, pivot_rows=None):
     then a unit, or `NonUnitPivotError` is raised.
 
     One sparse kernel for every shape: Markowitz-style elimination that
-    pivots in the shortest active row (lowest row index among equals), at
-    the column of that row with the fewest occupants (lowest column among
-    equals), so the pivot sequence is deterministic for a fixed modulus.  The
-    shortest row comes from a bucket queue keyed by row length.
+    pivots in the active row with the fewest entries (lowest row index among
+    equals), at the column of that row with the fewest occupants (lowest
+    column among equals), so the pivot sequence is deterministic for a fixed
+    modulus.  The row comes off one heap of (row length, input position)
+    pairs.
 
     `pivot_rows`, if given, is a list that the kernel extends with the input
     positions (0-based, counting zero rows) of its pivot rows: `rank`
@@ -157,23 +159,16 @@ def rank_of_rows(rows, p, *, pivot_rows=None):
                     col_rows[c].add(i)
                 else:
                     col_rows[c] = {i}
-    # buckets[n] is a heap of the positions of rows last seen with n entries;
-    # an entry is stale once its row is gone or has another length
-    buckets = {}
-    for i, r in active.items():
-        buckets.setdefault(len(r), []).append(i)  # ascending: already heaps
-    shortest = min(buckets, default=0)
+    # a heap of (row length, position), one entry each time a row takes a
+    # length; an entry is stale once its row is gone or has another length
+    queue = [(len(r), i) for i, r in active.items()]
+    heapq.heapify(queue)
     rank = 0
     while active:
-        while True:
-            bucket = buckets.get(shortest)
-            if not bucket:
-                shortest += 1
-                continue
-            i = heapq.heappop(bucket)
-            row = active.get(i)
-            if row is not None and len(row) == shortest:
-                break
+        n, i = heapq.heappop(queue)
+        row = active.get(i)
+        if row is None or len(row) != n:
+            continue
         del active[i]
         rank += 1
         if pivot_rows is not None:
@@ -217,8 +212,7 @@ def rank_of_rows(rows, p, *, pivot_rows=None):
             if not after:
                 del active[j]
             elif after != before:
-                heapq.heappush(buckets.setdefault(after, []), j)
-                shortest = min(shortest, after)
+                heapq.heappush(queue, (after, j))
     return rank
 
 

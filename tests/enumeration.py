@@ -2,8 +2,9 @@
 deliberately naive: counting objects one by one, never through the closed
 forms they are checking.  Small helpers that only tests use as independent
 references live here too: the regular-weight predicate, the dimension of an
-induced module, and a dense rank and reduced echelon form over F_p by
-row reduction with numpy."""
+induced module, a dense rank and reduced echelon form over F_p by row
+reduction with numpy, and the Markowitz pivot order of the sparse rank
+kernel, found by scanning every row at each step."""
 
 import itertools
 from functools import cache
@@ -132,6 +133,51 @@ def dense_rref(rows, ncols, p):
         pivots.append(col)
     return {col: {int(c): int(a[k, c]) for c in np.nonzero(a[k])[0]}
             for k, col in enumerate(pivots)}
+
+
+def markowitz_pivots(rows, p):
+    """The pivot rows of the Markowitz rule that `rank_of_rows` follows,
+    found naively by scanning every active row at each step:
+    (positions, unit).
+
+    At each step the active row with the smallest (length, input position)
+    is the pivot row; its pivot column is the one with the fewest active
+    rows holding it (the pivot row counts), lowest column on ties.  The
+    pivot row leaves, every other row holding the pivot column is cleared
+    of it, and rows that reach zero leave.  `positions` lists the input
+    positions (0-based, counting zero rows) of the pivot rows in order.
+    `unit` is False when a pivot is not invertible mod p (p a product of
+    primes): the elimination stops there, and that pivot is the last
+    position."""
+    active = {}
+    for i, row in enumerate(rows):
+        r = {c: v % p for c, v in row.items() if v % p}
+        if r:
+            active[i] = r
+    positions = []
+    while active:
+        i = min(active, key=lambda k: (len(active[k]), k))
+        row = active.pop(i)
+        positions.append(i)
+        c = min(row, key=lambda cc: (
+            1 + sum(cc in other for other in active.values()), cc))
+        try:
+            inv = pow(row[c], -1, p)
+        except ValueError:
+            return positions, False
+        for j in [j for j, other in active.items() if c in other]:
+            other = active[j]
+            f = other.pop(c) * inv
+            for cc, v in row.items():
+                if cc != c:
+                    new = (other.get(cc, 0) - f * v) % p
+                    if new:
+                        other[cc] = new
+                    else:
+                        other.pop(cc, None)
+            if not other:
+                del active[j]
+    return positions, True
 
 
 def monomials_dense(nvars, degree):

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from enumeration import dense_rank, dense_rref
+from enumeration import dense_rank, dense_rref, markowitz_pivots
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -323,6 +323,25 @@ def test_rref_matches_dense_reference(example):
         reduced = {c: {cc: v % m for cc, v in row.items() if v % m}
                    for c, row in at_pair.items()}
         assert reduced == rref_of_rows(rows, m)
+
+
+@settings(deadline=None, derandomize=True, max_examples=80)
+@given(_rref_inputs())
+def test_pivot_order_matches_markowitz_reference(example):
+    # the kernel takes its pivot rows in the order of the naive reference:
+    # smallest (row length, input position) first; modulo p * q both stop
+    # at the same non-unit pivot, or neither does
+    rows, _ = example
+    pair = PrimePair(*prime_fields(0, 2))
+    for m in (pair.first.modulus, pair.modulus):
+        positions, unit = markowitz_pivots(rows, m)
+        out = []
+        if unit:
+            assert rank_of_rows(rows, m, pivot_rows=out) == len(positions)
+        else:
+            with pytest.raises(NonUnitPivotError):
+                rank_of_rows(rows, m, pivot_rows=out)
+        assert out == positions
 
 
 def test_agree_over_primes_happy_path():
