@@ -4,9 +4,11 @@ Rank over F_p lower-bounds rank over Q and equals it unless p divides one of
 finitely many minors; agreement over two independently chosen 31-bit primes
 is the acceptance gate (silent error probability below 2^-30 per entry).
 
-Rank has one kernel, `rank_of_rows`: sparse Markowitz-style pivots, the
-next pivot row taken from one heap of (row length, input position) pairs,
-in pure Python with no dense finish.
+Rank has one kernel, `rank_of_rows`: sparse Markowitz-style pivots in pure
+Python with no dense finish.  It keeps a count of each column's rows for
+the column rule and an append-only list of them, checked when read, for
+the rows to clear, and takes the next pivot row from one heap of (row
+length, input position) entries, each a lower bound on its row's length.
 It ranks every matrix whose dimension alone is needed: the Koszul
 differentials, and for a Hilbert value each ideal block's spanning rows.
 All eliminations, and so the pivot sequence of every rank, are deterministic
@@ -138,8 +140,18 @@ def rank_of_rows(rows, p, *, pivot_rows=None):
     pivots in the active row with the fewest entries (lowest row index among
     equals), at the column of that row with the fewest occupants (lowest
     column among equals), so the pivot sequence is deterministic for a fixed
-    modulus.  The row comes off one heap of (row length, input position)
-    pairs.
+    modulus.
+
+    The column rule reads an exact count of each column's active rows.  Its
+    occupants are read only when it becomes a pivot column, off an
+    append-only list of the positions that took an entry in it, each
+    checked when read: a listed row that is gone, or no longer holds the
+    column, is skipped.  The row comes off one heap of (row length, input
+    position) entries, each a lower bound on its row's length: a row that
+    shrinks is pushed at its new length, one that grows keeps its entry,
+    and a popped entry shorter than its row is pushed again at the row's
+    length, so the first entry popped at its row's own length is the
+    smallest (row length, input position).
 
     `pivot_rows`, if given, is a list that the kernel extends with the input
     positions (0-based, counting zero rows) of its pivot rows: `rank`
@@ -149,69 +161,78 @@ def rank_of_rows(rows, p, *, pivot_rows=None):
     the same space as the pivots.
     """
     active = {}      # input position -> {col: nonzero coeff mod p}
-    col_rows = {}    # occupied col -> positions of the active rows using it
+    listed = {}      # occupied col -> positions that took an entry in it
     for i, row in enumerate(rows):
         r = {c: v % p for c, v in row.items() if v % p}
         if r:
             active[i] = r
             for c in r:
-                if c in col_rows:
-                    col_rows[c].add(i)
+                if c in listed:
+                    listed[c].append(i)
                 else:
-                    col_rows[c] = {i}
-    # a heap of (row length, position), one entry each time a row takes a
-    # length; an entry is stale once its row is gone or has another length
+                    listed[c] = [i]
+    # occupied col -> number of active rows holding it
+    count = {c: len(users) for c, users in listed.items()}
     queue = [(len(r), i) for i, r in active.items()]
     heapq.heapify(queue)
     rank = 0
     while active:
         n, i = heapq.heappop(queue)
         row = active.get(i)
-        if row is None or len(row) != n:
+        if row is None:
+            continue
+        # the smallest entry of an active row is at most its length, so
+        # an entry popped for one is never longer than it
+        if len(row) > n:
+            heapq.heappush(queue, (len(row), i))
             continue
         del active[i]
         rank += 1
         if pivot_rows is not None:
             pivot_rows.append(i)
-        c = min(row, key=lambda cc: (len(col_rows[cc]), cc))
+        c = min(row, key=lambda cc: (count[cc], cc))
         for cc in row:
-            users = col_rows[cc]
-            users.discard(i)
-            if not users:
-                del col_rows[cc]
+            if count[cc] == 1:
+                del count[cc], listed[cc]
+            else:
+                count[cc] -= 1
         # every pivot is inverted, also one with no rows to clear: modulo a
         # product of primes that is the check that it is a unit
         inv = _inverse(row[c], p)
-        occupants = col_rows.pop(c, ())
-        if not occupants:
+        if c not in count:
             continue
-        # every other column of the pivot row has at least len(occupants)
-        # other users (else it would be the pivot column), so its user set
-        # still exists whenever an occupant gains an entry in it below
+        del count[c]
+        # every other column of the pivot row has at least as many other
+        # active rows as c has occupants, so it stays counted whenever an
+        # occupant gains an entry in it below
         pivot = [(cc, vv * inv % p) for cc, vv in row.items() if cc != c]
-        for j in occupants:
-            other = active[j]
+        for j in listed.pop(c):
+            other = active.get(j)
+            if other is None:
+                continue
             before = len(other)
-            f = other.pop(c)
+            f = other.pop(c, None)
+            if f is None:
+                continue
             for cc, vv in pivot:
                 old = other.get(cc)
                 if old is None:
                     other[cc] = -f * vv % p
-                    col_rows[cc].add(j)
+                    count[cc] += 1
+                    listed[cc].append(j)
                 else:
                     new = (old - f * vv) % p
                     if new:
                         other[cc] = new
+                    elif count[cc] == 1:
+                        del other[cc], count[cc], listed[cc]
                     else:
                         del other[cc]
-                        users = col_rows[cc]
-                        users.discard(j)
-                        if not users:
-                            del col_rows[cc]
+                        count[cc] -= 1
             after = len(other)
             if not after:
                 del active[j]
-            elif after != before:
+            elif after < before:
                 heapq.heappush(queue, (after, j))
     return rank
 

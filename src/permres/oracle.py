@@ -56,7 +56,8 @@ families the pair with wF <= wE), and scale its block by the orbit size.
 The same symmetries carry one block's piece onto every block of its orbit,
 and the Koszul windows use weights from every orbit position, so a
 matrix-family ideal eliminates one block per orbit: the representative's
-monomials are listed once per n and its integer rows built once per ideal,
+monomials are listed once per n, its integer rows are built afresh for each
+use and dropped after it, with only their nonzero count memoised per ideal,
 each modulus reduces them once, and every other weight of the orbit
 relabels the representative's monomials once and reads its piece off the
 representative's echelon form by position.  The independent references
@@ -270,12 +271,14 @@ class _GridQuotient:
     yields.  The monomials of every block and the wedges of every window
     come from the grid of its n (`_Grid`), which every matrix-family ideal
     of that n shares.  The quotient owns the ideal's own state: the table
-    of generator first terms, each representative's integer rows spanning
-    the ideal's block and their nonzeros, its echelon form mod p read by
-    position, and one memo of each weight's piece, keyed by (w, p).  So
-    every cell and step of an ideal shares the blocks, and each modulus
-    reduces each orbit once for the windows; a Hilbert value ranks each
-    block's rows (`ideal_dim`) and builds no echelon form or piece."""
+    of generator first terms, the nonzero count of each representative's
+    integer rows spanning the ideal's block, its echelon form mod p read by
+    position, and one memo of each weight's piece, keyed by (w, p).  The
+    rows themselves are built for each use that reduces them, an echelon
+    form or a rank, and dropped when it returns.  So every cell and step of
+    an ideal shares the blocks, and each modulus reduces each orbit once
+    for the windows; a Hilbert value ranks each block's rows (`ideal_dim`)
+    and builds no echelon form or piece."""
 
     @staticmethod
     def weight(n, m):
@@ -302,7 +305,7 @@ class _GridQuotient:
                     "distinct variables of its own")
             self.terms_by_lead[key] = (_pack(lead), [
                 (_pack(m), c) for (m, _), c in g.terms.items()])
-        self._rows = {}       # representative -> (rows, nonzeros)
+        self._nnz = {}        # representative -> nonzeros of its rows
         self._echelons = {}   # (representative, p) -> (free, coefficients)
         self._pieces = {}     # (w, p) -> (quotient basis, reduction map)
 
@@ -324,13 +327,11 @@ class _GridQuotient:
         pivot monomials of the fully reduced echelon form of the ideal's
         block, relabelled onto w.  The cap is checked on every use, since
         callers sharing a block may pass different caps; a relabelling keeps
-        the block's nonzeros, and `rref_of_rows`, like `rank_of_rows` in
-        `ideal_dim`, reduces into fresh rows, so the shared integer rows stay
-        as built."""
+        the block's nonzeros."""
         rep, monos = self._block(w, cap)
         if (w, p) not in self._pieces:
             if (rep, p) not in self._echelons:
-                self._echelons[rep, p] = self._echelon(rep, p)
+                self._echelons[rep, p] = self._echelon(rep, p, cap)
             free, coeffs = self._echelons[rep, p]
             self._pieces[w, p] = ([monos[i] for i in free],
                                   dict(zip(monos, coeffs)))
@@ -338,28 +339,36 @@ class _GridQuotient:
 
     def ideal_dim(self, w, p, cap):
         """Dimension of the ideal's weight-w block mod p: the rank of the
-        representative's spanning rows, with no echelon form built.  The
-        cap is checked first, as in `quotient`."""
+        representative's spanning rows, built for this call, with no
+        echelon form.  The cap is checked as in `quotient`."""
         rep, _ = self._block(w, cap)
-        return rank_of_rows(self._rows[rep][0], p)
+        return rank_of_rows(self._rows(rep, cap), p)
 
     def _block(self, w, cap):
         """(representative, packed block monomials) of weight w (see
-        `_Grid.orbit`), once the nonzeros of the representative's integer
-        rows, built on first use, are checked against the cap."""
+        `_Grid.orbit`), once the memoised nonzero count of the
+        representative's integer rows, if they were ever built in full, is
+        checked against the cap."""
         rep, monos = self.grid.orbit(w)
-        if rep not in self._rows:
-            self._rows[rep] = self._spanning_rows(*self.grid._blocks[rep])
-        check_cap(self._rows[rep][1], cap, "ideal block nonzeros")
+        if rep in self._nnz:
+            check_cap(self._nnz[rep], cap, "ideal block nonzeros")
         return rep, monos
 
-    def _echelon(self, rep, p):
+    def _rows(self, rep, cap):
+        """The representative's integer rows spanning the ideal's block,
+        built afresh; their nonzero count is memoised once they are
+        complete, and a build past the cap stops where it passes it."""
+        rows, self._nnz[rep] = self._spanning_rows(*self.grid._blocks[rep],
+                                                   cap)
+        return rows
+
+    def _echelon(self, rep, p, cap):
         """The representative block's piece mod p by position: the positions
         of its quotient basis, the non-pivot monomials of the fully reduced
         echelon form, and for each monomial its {basis position:
         coefficient} rewriting mod I."""
         size = len(self.grid._blocks[rep][0])
-        pivots = rref_of_rows(self._rows[rep][0], p)
+        pivots = rref_of_rows(self._rows(rep, cap), p)
         free = [i for i in range(size) if i not in pivots]
         position = {i: k for k, i in enumerate(free)}
         coeffs = [{position[c]: -v % p for c, v in pivots[i].items()
@@ -367,13 +376,15 @@ class _GridQuotient:
                   for i in range(size)]
         return free, coeffs
 
-    def _spanning_rows(self, monos, packed):
+    def _spanning_rows(self, monos, packed, cap=None):
         """(rows, nonzeros): the products g * (M / t) for each block
         monomial M and generator g whose first term t divides M, over the
         positions of the packed monomials, and their nonzeros.  Packed, the
         term u of g gives M - t + u.  Since M -> M / t maps those M
         one-to-one onto g's multipliers of the block's weight, these are the
-        products of each generator with each of its multipliers."""
+        products of each generator with each of its multipliers.  The
+        running count is checked against `cap` row by row, so a block past
+        the cap raises before it is built in full."""
         index = {M: i for i, M in enumerate(packed)}
         rows = []
         nnz = 0
@@ -386,6 +397,7 @@ class _GridQuotient:
                 cofactor = M - t
                 row = {index[cofactor + u]: c for u, c in terms}
                 nnz += len(row)
+                check_cap(nnz, cap, "ideal block nonzeros")
                 rows.append(row)
         return rows, nnz
 
@@ -527,7 +539,8 @@ def _differential(p, cap, source, target, columns=None):
     one of its primes; the rank kernel keeps it, and raises if it is ever a
     pivot.  Position j becomes column `columns[j]`, or is dropped where
     that is None, when `columns` is given; `cap` bounds the nonzeros of the
-    full map."""
+    full map, and the running count is checked row by row, so a map past
+    the cap raises before it is built in full."""
     rows = []
     nnz = 0
     for T, (_, basis, _) in source.items():
@@ -551,8 +564,8 @@ def _differential(p, cap, source, target, columns=None):
                         c = c * a % p
                         if c:
                             row[k] = p - c if odd else c
+            check_cap(nnz, cap, "Koszul window nonzeros")
             rows.append(row)
-    check_cap(nnz, cap, "Koszul window nonzeros")
     return rows
 
 

@@ -344,6 +344,42 @@ def test_pivot_order_matches_markowitz_reference(example):
         assert out == positions
 
 
+def test_pivot_order_through_lazy_entries():
+    # explicit inputs for the kernel's lower-bound heap entries and its
+    # checked-on-read column lists, against the naive reference.  In the
+    # first, row 2 shrinks, grows and shrinks again before it is pivoted, so
+    # its shorter entry pops while it is longer and is pushed again at its
+    # length.  In the second, row 4 cancels column 2 and regains it, so the
+    # list of that column holds it twice.  Each also runs with its last
+    # pivot row scaled by p1, which stops the elimination modulo p1 * p2
+    # at that step, after those events
+    pair = PrimePair(*prime_fields(0, 2))
+    p1 = pair.first.modulus
+    examples = [
+        ([{2: 1}, {0: 1, 3: 2, 4: 1}, {0: -1, 1: -1, 2: 2, 5: 2},
+          {1: 1, 3: 1, 4: 1}], 2),
+        ([{0: -1, 2: 1}, {}, {0: 2, 1: 1}, {2: 2, 3: 2},
+          {0: -1, 1: 1, 2: 1, 3: 2, 4: -1}], 4),
+    ]
+    for rows, last in examples:
+        scaled = [{c: v * p1 for c, v in row.items()} if i == last else row
+                  for i, row in enumerate(rows)]
+        for m, matrix, unit in ((p1, rows, True), (pair.modulus, rows, True),
+                                (p1, scaled, True),
+                                (pair.modulus, scaled, False)):
+            positions, found = markowitz_pivots(matrix, m)
+            assert found == unit
+            out = []
+            if unit:
+                assert rank_of_rows(matrix, m, pivot_rows=out) == \
+                    len(positions)
+            else:
+                with pytest.raises(NonUnitPivotError):
+                    rank_of_rows(matrix, m, pivot_rows=out)
+                assert positions[-1] == last
+            assert out == positions
+
+
 def test_agree_over_primes_happy_path():
     seen = []
 

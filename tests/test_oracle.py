@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import operator
@@ -36,6 +37,7 @@ from permres.tensorspace import (
     DEFAULT_NNZ_CAP,
     ResourceCapError,
     TensorElement,
+    check_cap,
     mono_mul,
     mono_times_var,
     monomial_count,
@@ -109,11 +111,15 @@ def test_blocks_built_once_per_ideal(capsys, monkeypatch):
     # needs once; a Hilbert value only ranks a block's rows.
     # The grid of its n, which the next ideal of that n shares, enumerates
     # each orbit representative's basis and each representative wedge
-    # weight's 0/1 matrices once; every other weight is relabelled
+    # weight's 0/1 matrices once; every other weight is relabelled.
+    # The quotient keeps no rows, so each build of a block's spanning rows
+    # is named by its weight here, and kept alive so that no other list
+    # takes its id
     calls = {"mww": [], "expand": 0, "rref": [], "rank": []}
-    mww, expand, rref, rank = (oracle.monomials_with_weight,
-                               oracle.expand_generators, oracle.rref_of_rows,
-                               oracle.rank_of_rows)
+    mww, expand, rref, rank, spanning = (
+        oracle.monomials_with_weight, oracle.expand_generators,
+        oracle.rref_of_rows, oracle.rank_of_rows, _GridQuotient._spanning_rows)
+    named = {}
 
     def counted_mww(n, wE, wF, bound=math.inf):
         calls["mww"].append(((wE, wF), bound))
@@ -124,17 +130,24 @@ def test_blocks_built_once_per_ideal(capsys, monkeypatch):
         return expand(spec_)
 
     def counted_rref(rows, p):
-        calls["rref"].append((id(rows), p))
+        calls["rref"].append((named[id(rows)][0], p))
         return rref(rows, p)
 
     def counted_rank(rows, p, **kwargs):
-        calls["rank"].append((id(rows), p))
+        calls["rank"].append((named.get(id(rows), (None,))[0], p))
         return rank(rows, p, **kwargs)
+
+    def named_rows(self, monos, *args):
+        rows, nnz = spanning(self, monos, *args)
+        (w,) = [w for w, (m, _) in self.grid._blocks.items() if m is monos]
+        named[id(rows)] = w, rows
+        return rows, nnz
 
     monkeypatch.setattr(oracle, "monomials_with_weight", counted_mww)
     monkeypatch.setattr(oracle, "expand_generators", counted_expand)
     monkeypatch.setattr(oracle, "rref_of_rows", counted_rref)
     monkeypatch.setattr(oracle, "rank_of_rows", counted_rank)
+    monkeypatch.setattr(_GridQuotient, "_spanning_rows", named_rows)
     ideal = ["--family", "minors", "-n", "3", "-k", "2", "--mode", "oracle",
              "--cache-dir", "none"]
     assert cli.main(["betti", "--steps", "0..3", *ideal]) == 0
@@ -143,11 +156,10 @@ def test_blocks_built_once_per_ideal(capsys, monkeypatch):
     quot = _graded_quotient(IdealSpec("minors", 3, 2))
     grid = quot.grid
     # the rows a call reduces are the block's own, so they name its weight
-    weight_of = {id(rows): w for w, (rows, _) in quot._rows.items()}
-    reduced = [(weight_of[key], p) for key, p in calls["rref"]]
+    reduced = calls["rref"]
     moduli = {p for _, p in reduced}
     assert moduli == {math.prod(f.modulus for f in prime_fields(0, 2))}
-    assert set(quot._rows) == set(grid._blocks)
+    assert set(quot._nnz) == set(grid._blocks)
     # only the windows' pieces reduce a block, each once per modulus
     assert sorted(reduced) == sorted(quot._echelons)
     assert {rep for rep, _ in reduced} < set(grid._blocks)
@@ -176,12 +188,38 @@ def test_blocks_built_once_per_ideal(capsys, monkeypatch):
     assert not calls["rref"]
     dominant = [w for t in range(2, 8) for w, _ in quot.weights(t)]
     assert Counter(calls["rank"]) == Counter(
-        (id(quot._rows[w][0]), p) for w in dominant for p in moduli)
+        (w, p) for w in dominant for p in moduli)
     assert calls["mww"][len(listed):]
     assert not set(calls["mww"][len(listed):]) & set(listed)
     assert not quot._pieces and not quot._echelons
     # one ideal's state at a time
     assert _graded_quotient.cache_info().currsize == 1
+
+
+def test_quotient_keeps_counts_not_rows(capsys, monkeypatch):
+    # the integer rows spanning a block are built for each use and dropped
+    # after it: once the commands are done, nothing but this test refers
+    # to any list of rows the quotient built, and the quotient keeps one int
+    # per representative, its rows' nonzero count
+    built = []
+    spanning = _GridQuotient._spanning_rows
+
+    def kept(self, *args):
+        rows, nnz = spanning(self, *args)
+        built.append(rows)
+        return rows, nnz
+
+    monkeypatch.setattr(_GridQuotient, "_spanning_rows", kept)
+    ideal = ["--family", "minors", "-n", "3", "-k", "2", "--mode", "oracle",
+             "--cache-dir", "none"]
+    assert cli.main(["betti", "--steps", "0..3", *ideal]) == 0
+    assert cli.main(["hilbert", "--t", "2..5", *ideal]) == 0
+    capsys.readouterr()
+    assert built
+    assert gc.get_referrers(*built) == [built]
+    quot = _graded_quotient(IdealSpec("minors", 3, 2))
+    assert set(quot._nnz) == set(quot.grid._blocks)
+    assert all(type(nnz) is int for nnz in quot._nnz.values())
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
@@ -371,6 +409,39 @@ def test_cap_binds_a_shared_block(field):
         betti_oracle(spec, 0, 4, field, cap=25)
     with pytest.raises(ResourceCapError, match="ideal block"):
         hilbert_oracle(spec, 4, field, cap=25)
+
+
+def test_cap_stops_the_build_it_bounds(field, monkeypatch):
+    # a block or a Koszul differential past the cap raises once its running
+    # count of nonzeros passes the cap, before it is built in full, and a
+    # block's count is memoised only once its rows are complete
+    counts = []
+
+    def counted(amount, cap, what):
+        counts.append(amount)
+        check_cap(amount, cap, what)
+
+    monkeypatch.setattr(oracle, "check_cap", counted)
+    p = field.modulus
+    quot = _graded_quotient(IdealSpec("subpermanents", 3, 2))
+    w = ((2, 1, 1), (2, 1, 1))
+    rep, _ = quot.grid.orbit(w)
+    rows, total = quot._spanning_rows(*quot.grid._blocks[rep])
+    assert total == 26 == sum(map(len, rows))
+    with pytest.raises(ResourceCapError, match="ideal block"):
+        quot.ideal_dim(w, p, total // 2)
+    assert counts[-1] < total
+    assert rep not in quot._nnz
+    assert quot.ideal_dim(w, p, total) == rank_of_rows(rows, p)
+    assert quot._nnz[rep] == total
+    # the ideal side's middle map of the same block at step 1
+    _, middle = _layout(p, _span(quot, p, None, 1, w)[0], True)
+    full = _differential(p, None, middle, _monomial_coordinates())
+    total = counts[-1]
+    assert total == 30 == sum(map(len, full))
+    with pytest.raises(ResourceCapError, match="Koszul window"):
+        _differential(p, total // 2, middle, _monomial_coordinates())
+    assert counts[-1] < total
 
 
 def test_hilbert_two_primes_agree(field_pair):
