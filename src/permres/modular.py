@@ -140,7 +140,9 @@ def rank_of_rows(rows, p, *, pivot_rows=None):
     pivots in the active row with the fewest entries (lowest row index among
     equals), at the column of that row with the fewest occupants (lowest
     column among equals), so the pivot sequence is deterministic for a fixed
-    modulus.
+    modulus.  The rows are read once, into a reduced copy mod p, and the
+    input is neither changed nor held past that: a list that only the call
+    refers to is freed before the elimination starts.
 
     The column rule reads an exact count of each column's active rows.  Its
     occupants are read only when it becomes a pivot column, off an
@@ -171,6 +173,9 @@ def rank_of_rows(rows, p, *, pivot_rows=None):
                     listed[c].append(i)
                 else:
                     listed[c] = [i]
+    # the reduced copy is all the elimination reads: drop the input, so a
+    # caller that passed a temporary frees it now rather than on return
+    del rows
     # occupied col -> number of active rows holding it
     count = {c: len(users) for c, users in listed.items()}
     queue = [(len(r), i) for i, r in active.items()]

@@ -42,11 +42,12 @@ There is one graded quotient per ideal (`_graded_quotient(spec)`, which
 keeps the last ideal's), and it holds that ideal's own state.  The reduced
 pieces sit in one memo keyed by (weight, modulus), so every use of a weight
 sees one basis, and the modulus and the cap are arguments of each use; the
-cap is checked on every use.  What depends on n alone, the blocks'
-monomials, their relabellings and the wedges, sits in one grid per n
-(`_Grid`), shared by every matrix-family quotient of that n and held only
-while one of them lives, so the two families of one matrix size list each
-block and each wedge weight once, and a square-free ideal frees the grid.
+cap is checked on every use against the nonzero count each piece carries.
+What depends on n alone, the representative blocks' monomials and the
+wedges, sits in one grid per n (`_Grid`), shared by every matrix-family
+quotient of that n and held only while one of them lives, so the two
+families of one matrix size list each block and each wedge weight once,
+and a square-free ideal frees the grid.
 
 Permuting rows and columns (or variables) preserves the ideals, so block
 dimensions only depend on the sorted weight; the transpose x_ij -> x_ji
@@ -57,13 +58,14 @@ The same symmetries carry one block's piece onto every block of its orbit,
 and the Koszul windows use weights from every orbit position, so a
 matrix-family ideal eliminates one block per orbit: the representative's
 monomials are listed once per n, its integer rows are built afresh for each
-use and dropped after it, with only their nonzero count memoised per ideal,
-each modulus reduces them once, and every other weight of the orbit
-relabels the representative's monomials once and reads its piece off the
-representative's echelon form by position.  The independent references
-are outside this module: `multiply_map_rank` for the Hilbert function, the
-whole-space Koszul homology of the tests for the Betti numbers, and a
-check of each transported piece against its block's own spanning rows.
+use and dropped after it, each modulus reduces them once into the
+representative's piece, which carries their nonzero count for the cap, and
+every other weight of the orbit relabels the representative's monomials
+and takes its piece's basis and rewritings in the block's order.  The
+independent references are outside this module: `multiply_map_rank` for
+the Hilbert function, the whole-space Koszul homology of the tests for the
+Betti numbers, and a check of each transported piece against its block's
+own spanning rows.
 
 A block's Koszul window only involves wedges (r-subsets of the variables)
 whose weight t fits under the block's weight w, and the graded quotient
@@ -195,32 +197,24 @@ def _relabelling(n, w):
 class _Grid:
     """What the blocks of every matrix-family ideal on the n x n grid share,
     since it depends on n alone: each representative block's monomials, as
-    tuples and packed; each weight's representative and its monomials
-    packed onto the weight's variables; each wedge weight's wedges; and
-    each window's fitting wedge weights.  Representatives and wedges are
-    listed once per orbit (see `_relabelling`) and relabelled."""
+    tuples and packed; each wedge weight's wedges; and each window's
+    fitting wedge weights.  Representatives and wedges are listed once per
+    orbit (see `_relabelling`), and a wedge weight off its representative
+    relabels the representative's wedges."""
 
     def __init__(self, n):
         self.n = n
         self._blocks = {}     # representative -> (monomials, packed)
-        self._orbit = {}      # w -> (representative, relabelled packed)
         self._wedges = {}     # t -> [r-subsets of weight t]
         self._fitting = {}    # (r, w clipped at r) -> [(t, r-subsets)]
 
-    def orbit(self, w):
-        """(representative, packed block monomials) of weight w: the
-        representative's monomials packed straight onto w's variables, in
-        the representative's order."""
-        if w not in self._orbit:
-            rep, image = _relabelling(self.n, w)
-            if rep not in self._blocks:
-                monos = monomials_with_weight(self.n, *rep)
-                self._blocks[rep] = monos, [_pack(m) for m in monos]
-            monos, packed = self._blocks[rep]
-            if rep != w:
-                packed = [_pack(m, image) for m in monos]
-            self._orbit[w] = rep, packed
-        return self._orbit[w]
+    def block(self, rep):
+        """(monomials, packed monomials) of a representative weight's block,
+        listed once."""
+        if rep not in self._blocks:
+            monos = monomials_with_weight(self.n, *rep)
+            self._blocks[rep] = monos, [_pack(m) for m in monos]
+        return self._blocks[rep]
 
     def wedge_list(self, t):
         """The r-subsets of weight t, 0/1 n x n matrices with row sums tE and
@@ -271,14 +265,13 @@ class _GridQuotient:
     yields.  The monomials of every block and the wedges of every window
     come from the grid of its n (`_Grid`), which every matrix-family ideal
     of that n shares.  The quotient owns the ideal's own state: the table
-    of generator first terms, the nonzero count of each representative's
-    integer rows spanning the ideal's block, its echelon form mod p read by
-    position, and one memo of each weight's piece, keyed by (w, p).  The
-    rows themselves are built for each use that reduces them, an echelon
-    form or a rank, and dropped when it returns.  So every cell and step of
-    an ideal shares the blocks, and each modulus reduces each orbit once
-    for the windows; a Hilbert value ranks each block's rows (`ideal_dim`)
-    and builds no echelon form or piece."""
+    of generator first terms and one memo of each weight's piece, keyed by
+    (w, p), which carries the nonzero count of the representative's
+    integer rows spanning the ideal's block.  The rows themselves are built
+    for each use that reduces them, an echelon form or a rank, and dropped
+    when it returns.  So every cell and step of an ideal shares the pieces,
+    and each modulus reduces each orbit once for the windows; a Hilbert
+    value ranks each block's rows (`ideal_dim`) and builds no piece."""
 
     @staticmethod
     def weight(n, m):
@@ -305,9 +298,8 @@ class _GridQuotient:
                     "distinct variables of its own")
             self.terms_by_lead[key] = (_pack(lead), [
                 (_pack(m), c) for (m, _), c in g.terms.items()])
-        self._nnz = {}        # representative -> nonzeros of its rows
-        self._echelons = {}   # (representative, p) -> (free, coefficients)
-        self._pieces = {}     # (w, p) -> (quotient basis, reduction map)
+        # (w, p) -> (quotient basis, reduction map, nonzeros of the rows)
+        self._pieces = {}
 
     def weights(self, total):
         """One pair per orbit under permuting rows, permuting columns and
@@ -323,58 +315,48 @@ class _GridQuotient:
         """(quotient basis monomials, reduction map) of the weight-w block
         mod p; the reduction map rewrites every monomial of the block as a
         combination of basis monomials mod I, as {basis position: nonzero
-        coefficient}.  The basis is the representative's complement of the
-        pivot monomials of the fully reduced echelon form of the ideal's
-        block, relabelled onto w.  The cap is checked on every use, since
-        callers sharing a block may pass different caps; a relabelling keeps
-        the block's nonzeros."""
-        rep, monos = self._block(w, cap)
-        if (w, p) not in self._pieces:
-            if (rep, p) not in self._echelons:
-                self._echelons[rep, p] = self._echelon(rep, p, cap)
-            free, coeffs = self._echelons[rep, p]
-            self._pieces[w, p] = ([monos[i] for i in free],
-                                  dict(zip(monos, coeffs)))
-        return self._pieces[w, p]
+        coefficient}, in the block's order.  A representative's piece is
+        its own (`_echelon`); any other weight's is its representative's,
+        relabelled onto w.  The cap is checked against the piece's nonzero
+        count on every use, since callers sharing a block may pass
+        different caps; a relabelling keeps the block's nonzeros."""
+        piece = self._pieces.get((w, p))
+        if piece is None:
+            rep, image = _relabelling(self.n, w)
+            if rep == w:
+                piece = self._echelon(w, p, cap)
+            else:
+                self.quotient(rep, p, cap)
+                basis, reduce_map, nnz = self._pieces[rep, p]
+                monos, packed = self.grid.block(rep)
+                relabel = dict(zip(packed, [_pack(m, image) for m in monos]))
+                piece = ([relabel[u] for u in basis],
+                         dict(zip(relabel.values(), reduce_map.values())), nnz)
+            self._pieces[w, p] = piece
+        check_cap(piece[2], cap, "ideal block nonzeros")
+        return piece[:2]
 
     def ideal_dim(self, w, p, cap):
         """Dimension of the ideal's weight-w block mod p: the rank of the
         representative's spanning rows, built for this call, with no
-        echelon form.  The cap is checked as in `quotient`."""
-        rep, _ = self._block(w, cap)
-        return rank_of_rows(self._rows(rep, cap), p)
-
-    def _block(self, w, cap):
-        """(representative, packed block monomials) of weight w (see
-        `_Grid.orbit`), once the memoised nonzero count of the
-        representative's integer rows, if they were ever built in full, is
-        checked against the cap."""
-        rep, monos = self.grid.orbit(w)
-        if rep in self._nnz:
-            check_cap(self._nnz[rep], cap, "ideal block nonzeros")
-        return rep, monos
-
-    def _rows(self, rep, cap):
-        """The representative's integer rows spanning the ideal's block,
-        built afresh; their nonzero count is memoised once they are
-        complete, and a build past the cap stops where it passes it."""
-        rows, self._nnz[rep] = self._spanning_rows(*self.grid._blocks[rep],
-                                                   cap)
-        return rows
+        echelon form; the build checks the cap as it goes."""
+        block = self.grid.block(_relabelling(self.n, w)[0])
+        return rank_of_rows(self._spanning_rows(*block, cap)[0], p)
 
     def _echelon(self, rep, p, cap):
-        """The representative block's piece mod p by position: the positions
-        of its quotient basis, the non-pivot monomials of the fully reduced
-        echelon form, and for each monomial its {basis position:
-        coefficient} rewriting mod I."""
-        size = len(self.grid._blocks[rep][0])
-        pivots = rref_of_rows(self._rows(rep, cap), p)
-        free = [i for i in range(size) if i not in pivots]
+        """The representative block's piece mod p: the complement of the
+        pivot monomials of the fully reduced echelon form of its spanning
+        rows, each monomial's rewriting mod I read off that form, and the
+        rows' nonzero count."""
+        monos, packed = self.grid.block(rep)
+        rows, nnz = self._spanning_rows(monos, packed, cap)
+        pivots = rref_of_rows(rows, p)
+        free = [i for i in range(len(packed)) if i not in pivots]
         position = {i: k for k, i in enumerate(free)}
-        coeffs = [{position[c]: -v % p for c, v in pivots[i].items()
-                   if c != i} if i in pivots else {position[i]: 1}
-                  for i in range(size)]
-        return free, coeffs
+        reduce_map = {M: {position[c]: -v % p for c, v in pivots[i].items()
+                          if c != i} if i in pivots else {position[i]: 1}
+                      for i, M in enumerate(packed)}
+        return [packed[i] for i in free], reduce_map, nnz
 
     def _spanning_rows(self, monos, packed, cap=None):
         """(rows, nonzeros): the products g * (M / t) for each block

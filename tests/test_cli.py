@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from permres import __version__, cache, cli, lascoux, oracle
+from permres import __version__, cache, cli, formulas, lascoux, oracle
 from permres.cache import HEADER_PREFIX, ResultCache
 from permres.cli import (
     EXIT_INVALID,
@@ -269,6 +269,13 @@ def test_sr_subcommand(capsys, tmp_path):
     assert row["f_vector"] == [1, 4, 6]
     assert row["h_vector"] == [1, 2, 3]
     assert len(row["dual_generators"]) == 6
+    code, env = run_json(capsys, "sr", "--complex", "perm2", "-n", "3",
+                         "--cache-dir", str(tmp_path))
+    assert code == EXIT_OK
+    (row,) = env["results"]
+    # the closed form counts faces up to dimension n, and n = 3 has none
+    # of dimension 3
+    assert [1, *formulas.perm2_f_vector(3)] == row["f_vector"] + [0]
 
 
 def test_sr_skeleton_dim_must_match_kappa(capsys):
@@ -351,6 +358,16 @@ def test_invalid_parameters_exit_code(capsys, tmp_path):
     assert code == EXIT_INVALID
     code = main(["nope"])
     assert code == EXIT_INVALID
+    # a degree with a range of steps, a lascoux corank of n, and a skeleton
+    # with neither its dimension nor kappa
+    capsys.readouterr()
+    for argv in (["betti", "--family", "subpermanents", "-n", "3", "-k", "2",
+                  "--steps", "0..2", "--deg", "4"],
+                 ["lascoux", "-n", "3", "-r", "3", "-j", "1"],
+                 ["sr", "--complex", "skeleton", "-n", "4"]):
+        code = main([*argv, "--cache-dir", "none"])
+        assert code == EXIT_INVALID, argv
+        assert capsys.readouterr().out == "", argv
 
 
 def test_negative_step_rejected(capsys):

@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from permres import lascoux
-from permres.formulas import det_linear_strand_dim
+from permres.formulas import betti_formula, det_linear_strand_dim
 from permres.ideals import IdealSpec
 from permres.lascoux import (
     BottOutcome,
@@ -120,7 +120,9 @@ def test_gorenstein_dimension_symmetry(verify_ok):
 
 def test_full_betti_table_matches_resolution(field):
     # every graded Betti number of the 2x2 minors of a 3x3 matrix, including
-    # the non-linear socle entry, agrees with the term enumeration
+    # the non-linear socle entry, agrees with the term enumeration, and the
+    # closed form the CLI and verify report is that enumeration; the 1x1
+    # minors have none
     from permres.oracle import betti_oracle
 
     spec = IdealSpec("minors", 3, 2)
@@ -129,6 +131,8 @@ def test_full_betti_table_matches_resolution(field):
             want = sum(t.dim for t in lascoux_terms(3, 1, i + 1)
                        if t.degree == d)
             assert betti_oracle(spec, i, d, field) == want, (i, d)
+            assert betti_formula(spec, i, d) == want, (i, d)
+            assert betti_formula(IdealSpec("minors", 3, 1), i, d) is None
 
 
 def test_euler_characteristic_reproduces_rank_oracle(verify_ok):

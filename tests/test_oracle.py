@@ -159,9 +159,10 @@ def test_blocks_built_once_per_ideal(capsys, monkeypatch):
     reduced = calls["rref"]
     moduli = {p for _, p in reduced}
     assert moduli == {math.prod(f.modulus for f in prime_fields(0, 2))}
-    assert set(quot._nnz) == set(grid._blocks)
-    # only the windows' pieces reduce a block, each once per modulus
-    assert sorted(reduced) == sorted(quot._echelons)
+    # only the windows' pieces reduce a block, each representative once per
+    # modulus, and the pieces of the other weights are relabelled
+    own = [(w, p) for w, p in quot._pieces if _relabelling(3, w)[0] == w]
+    assert sorted(reduced) == sorted(own)
     assert {rep for rep, _ in reduced} < set(grid._blocks)
     listed = [(w, math.inf) for w in grid._blocks] + [
         (t, 1) for t in grid._wedges if _relabelling(3, t)[0] == t]
@@ -170,11 +171,13 @@ def test_blocks_built_once_per_ideal(capsys, monkeypatch):
     assert len(grid._wedges) > len(listed) - len(grid._blocks)
     assert any(grid._wedges.values())
     assert calls["expand"] == 1
-    # the blocks are exactly the representatives of the weights used, and
-    # the windows use weights off them, so some pieces are transported
-    assert set(grid._blocks) == {rep for rep, _ in grid._orbit.values()}
-    assert all(grid._orbit[rep][0] == rep for rep in grid._blocks)
-    assert len(grid._orbit) > len(grid._blocks)
+    # the blocks are exactly the representatives of the weights used, by a
+    # window's piece or a Hilbert value's rows, and the windows use weights
+    # off them, so some pieces are transported
+    ranked = {w for w, _ in calls["rank"] if w is not None}
+    assert set(grid._blocks) == ranked | {
+        _relabelling(3, w)[0] for w, _ in quot._pieces}
+    assert len(quot._pieces) > len(own)
     # the sub-permanents of the same n share the grid: listing only weights
     # the minors did not, and, Hilbert values only, building no piece and
     # reducing nothing: each degree ranks each dominant block's rows once
@@ -191,7 +194,7 @@ def test_blocks_built_once_per_ideal(capsys, monkeypatch):
         (w, p) for w in dominant for p in moduli)
     assert calls["mww"][len(listed):]
     assert not set(calls["mww"][len(listed):]) & set(listed)
-    assert not quot._pieces and not quot._echelons
+    assert not quot._pieces
     # one ideal's state at a time
     assert _graded_quotient.cache_info().currsize == 1
 
@@ -199,8 +202,8 @@ def test_blocks_built_once_per_ideal(capsys, monkeypatch):
 def test_quotient_keeps_counts_not_rows(capsys, monkeypatch):
     # the integer rows spanning a block are built for each use and dropped
     # after it: once the commands are done, nothing but this test refers
-    # to any list of rows the quotient built, and the quotient keeps one int
-    # per representative, its rows' nonzero count
+    # to any list of rows the quotient built, and each piece carries one
+    # int, its representative's rows' nonzero count
     built = []
     spanning = _GridQuotient._spanning_rows
 
@@ -218,8 +221,10 @@ def test_quotient_keeps_counts_not_rows(capsys, monkeypatch):
     assert built
     assert gc.get_referrers(*built) == [built]
     quot = _graded_quotient(IdealSpec("minors", 3, 2))
-    assert set(quot._nnz) == set(quot.grid._blocks)
-    assert all(type(nnz) is int for nnz in quot._nnz.values())
+    assert quot._pieces
+    for (w, p), (_, _, nnz) in quot._pieces.items():
+        assert type(nnz) is int
+        assert nnz == quot._pieces[_relabelling(3, w)[0], p][2]
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
@@ -414,7 +419,8 @@ def test_cap_binds_a_shared_block(field):
 def test_cap_stops_the_build_it_bounds(field, monkeypatch):
     # a block or a Koszul differential past the cap raises once its running
     # count of nonzeros passes the cap, before it is built in full, and a
-    # block's count is memoised only once its rows are complete
+    # block's piece, with its count, is stored only once its rows are
+    # complete
     counts = []
 
     def counted(amount, cap, what):
@@ -425,15 +431,16 @@ def test_cap_stops_the_build_it_bounds(field, monkeypatch):
     p = field.modulus
     quot = _graded_quotient(IdealSpec("subpermanents", 3, 2))
     w = ((2, 1, 1), (2, 1, 1))
-    rep, _ = quot.grid.orbit(w)
-    rows, total = quot._spanning_rows(*quot.grid._blocks[rep])
+    rows, total = quot._spanning_rows(*quot.grid.block(w))
     assert total == 26 == sum(map(len, rows))
-    with pytest.raises(ResourceCapError, match="ideal block"):
-        quot.ideal_dim(w, p, total // 2)
-    assert counts[-1] < total
-    assert rep not in quot._nnz
+    for build in (quot.ideal_dim, quot.quotient):
+        with pytest.raises(ResourceCapError, match="ideal block"):
+            build(w, p, total // 2)
+        assert counts[-1] < total
+    assert not quot._pieces
     assert quot.ideal_dim(w, p, total) == rank_of_rows(rows, p)
-    assert quot._nnz[rep] == total
+    quot.quotient(w, p, total)
+    assert quot._pieces[w, p][2] == total
     # the ideal side's middle map of the same block at step 1
     _, middle = _layout(p, _span(quot, p, None, 1, w)[0], True)
     full = _differential(p, None, middle, _monomial_coordinates())
