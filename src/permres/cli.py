@@ -382,7 +382,7 @@ def main(argv=None):
                           if cls in _ERRORS)
         error = {"type": kind, "message": str(exc)}
         results, primes = [], []
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         return _invalid(exc)
     except OSError as exc:
         # the cache is the only file I/O a handler does

@@ -43,11 +43,14 @@ keeps the last ideal's), and it holds that ideal's own state.  The reduced
 pieces sit in one memo keyed by (weight, modulus), so every use of a weight
 sees one basis, and the modulus and the cap are arguments of each use; the
 cap is checked on every use against the nonzero count each piece carries.
-What depends on n alone, the representative blocks' monomials and the
-wedges, sits in one grid per n (`_Grid`), shared by every matrix-family
-quotient of that n and held only while one of them lives, so the two
-families of one matrix size list each block and each wedge weight once,
-and a square-free ideal frees the grid.
+What depends on n alone sits in one grid per n (`_Grid`): each
+representative block's monomials, as the tuples listed, and each wedge
+weight's wedges.  It is shared by every matrix-family quotient of that n
+and held only while one of them lives, so the two families of one matrix
+size list each block and each wedge weight once, and a square-free ideal
+frees the grid.  Nothing else is kept per n: a block's monomials are packed
+for each use, and a window's fitting wedge weights are found for each
+window.
 
 Permuting rows and columns (or variables) preserves the ideals, so block
 dimensions only depend on the sorted weight; the transpose x_ij -> x_ji
@@ -153,8 +156,10 @@ def _sub(w, v):
 
 
 def _below(w, total):
-    """The weights t <= w whose entries sum to `total`."""
-    return [t for t in itertools.product(*(range(x + 1) for x in w))
+    """The weights t <= w whose entries sum to `total`: no entry of such a t
+    exceeds `total`, so each range stops there."""
+    return [t for t in itertools.product(*(range(min(x, total) + 1)
+                                           for x in w))
             if sum(t) == total]
 
 
@@ -197,24 +202,28 @@ def _relabelling(n, w):
 class _Grid:
     """What the blocks of every matrix-family ideal on the n x n grid share,
     since it depends on n alone: each representative block's monomials, as
-    tuples and packed; each wedge weight's wedges; and each window's
-    fitting wedge weights.  Representatives and wedges are listed once per
-    orbit (see `_relabelling`), and a wedge weight off its representative
-    relabels the representative's wedges."""
+    `monomials_with_weight` lists them, and each wedge weight's wedges.
+    Representatives and wedges are listed once per orbit (see
+    `_relabelling`), and a wedge weight off its representative relabels the
+    representative's wedges.  A window's fitting wedge weights are found on
+    each call, and a block's monomials are packed on each call."""
 
     def __init__(self, n):
         self.n = n
-        self._blocks = {}     # representative -> (monomials, packed)
+        self._blocks = {}     # representative -> monomials
         self._wedges = {}     # t -> [r-subsets of weight t]
-        self._fitting = {}    # (r, w clipped at r) -> [(t, r-subsets)]
+
+    def monomials(self, rep):
+        """The monomials of a representative weight's block, listed once."""
+        if rep not in self._blocks:
+            self._blocks[rep] = monomials_with_weight(self.n, *rep)
+        return self._blocks[rep]
 
     def block(self, rep):
         """(monomials, packed monomials) of a representative weight's block,
-        listed once."""
-        if rep not in self._blocks:
-            monos = monomials_with_weight(self.n, *rep)
-            self._blocks[rep] = monos, [_pack(m) for m in monos]
-        return self._blocks[rep]
+        packed for this call."""
+        monos = self.monomials(rep)
+        return monos, [_pack(m) for m in monos]
 
     def wedge_list(self, t):
         """The r-subsets of weight t, 0/1 n x n matrices with row sums tE and
@@ -233,22 +242,18 @@ class _Grid:
 
     def wedges(self, r, w):
         """[(w - t, the r-subsets of weight t)] over the weights t <= w of
-        r-subsets.  No row or column sum of an r-subset exceeds r, so the t
-        that fit are found once per w clipped at r."""
-        key = r, tuple(tuple(min(x, r) for x in part) for part in w)
-        if key not in self._fitting:
-            fitting = []
-            for t in itertools.product(*(_below(part, r) for part in key[1])):
-                if group := self.wedge_list(t):
-                    fitting.append((t, group))
-            # no value depends on the order of a window's wedges, but the
-            # rank kernel's pivots, and so the size of each restricted top
-            # map, do: list the row weights, and within one the weights, in
-            # the order the lexicographic listing of r-subsets meets them
-            fitting.sort(key=lambda tg: ([-x for x in tg[0][0]], tg[1][0]))
-            self._fitting[key] = fitting
+        r-subsets, listed for this call."""
+        fitting = []
+        for t in itertools.product(*(_below(part, r) for part in w)):
+            if group := self.wedge_list(t):
+                fitting.append((t, group))
+        # no value depends on the order of a window's wedges, but the rank
+        # kernel's pivots, and so the size of each restricted top map, do:
+        # list the row weights, and within one the weights, in the order the
+        # lexicographic listing of r-subsets meets them
+        fitting.sort(key=lambda tg: ([-x for x in tg[0][0]], tg[1][0]))
         return [((_sub(w[0], tE), _sub(w[1], tF)), group)
-                for (tE, tF), group in self._fitting[key]]
+                for (tE, tF), group in fitting]
 
 
 # the grid of each n that some quotient holds, and of no other: a CLI
@@ -262,16 +267,17 @@ class _GridQuotient:
     transposing map the ideal onto itself and the block of a weight onto
     the block of the permuted weight, so one block per orbit is eliminated:
     the block of the orbit's representative, the dominant pair `weights`
-    yields.  The monomials of every block and the wedges of every window
-    come from the grid of its n (`_Grid`), which every matrix-family ideal
-    of that n shares.  The quotient owns the ideal's own state: the table
-    of generator first terms and one memo of each weight's piece, keyed by
-    (w, p), which carries the nonzero count of the representative's
-    integer rows spanning the ideal's block.  The rows themselves are built
-    for each use that reduces them, an echelon form or a rank, and dropped
-    when it returns.  So every cell and step of an ideal shares the pieces,
-    and each modulus reduces each orbit once for the windows; a Hilbert
-    value ranks each block's rows (`ideal_dim`) and builds no piece."""
+    yields.  The monomials of every block, packed for each use, and the
+    wedges of every window come from the grid of its n (`_Grid`), which
+    every matrix-family ideal of that n shares.  The quotient owns the
+    ideal's own state: the table of generator first terms and one memo of
+    each weight's piece, keyed by (w, p), which carries the nonzero count of
+    the representative's integer rows spanning the ideal's block.  The rows
+    themselves are built for each use that reduces them, an echelon form or
+    a rank, and dropped when it returns.  So every cell and step of an ideal
+    shares the pieces, and each modulus reduces each orbit once for the
+    windows; a Hilbert value ranks each block's rows (`ideal_dim`) and
+    builds no piece."""
 
     @staticmethod
     def weight(n, m):
@@ -328,8 +334,9 @@ class _GridQuotient:
             else:
                 self.quotient(rep, p, cap)
                 basis, reduce_map, nnz = self._pieces[rep, p]
-                monos, packed = self.grid.block(rep)
-                relabel = dict(zip(packed, [_pack(m, image) for m in monos]))
+                # the reduction map lists the block's packed monomials
+                relabel = dict(zip(reduce_map, [
+                    _pack(m, image) for m in self.grid.monomials(rep)]))
                 piece = ([relabel[u] for u in basis],
                          dict(zip(relabel.values(), reduce_map.values())), nnz)
             self._pieces[w, p] = piece

@@ -528,6 +528,19 @@ def test_error_subclass_maps_like_its_base(capsys, tmp_path, monkeypatch):
     assert env["results"] == []
 
 
+def test_internal_key_error_propagates(capsys, tmp_path, monkeypatch):
+    # no code path raises KeyError on the user's behalf, so one from a
+    # lookup gone wrong is a fault to surface, not invalid parameters
+    def faulty(spec, i, d, field_, cap):
+        raise KeyError("planted missing key")
+
+    monkeypatch.setattr(cli, "betti_oracle", faulty)
+    with pytest.raises(KeyError, match="planted missing key"):
+        main(["betti", "--family", "minors", "-n", "3", "-k", "2",
+              "--steps", "1", "--mode", "oracle", "--cache-dir",
+              str(tmp_path)])
+
+
 def test_exit_code_mismatch_mapping():
     assert _exit_code([{"match": True}, {"oracle": 3}]) == EXIT_OK
     assert _exit_code([{"match": True}, {"match": False}]) == EXIT_MISMATCH

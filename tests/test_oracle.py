@@ -116,6 +116,7 @@ def test_blocks_built_once_per_ideal(capsys, monkeypatch):
     # is named by its weight here, and kept alive so that no other list
     # takes its id
     calls = {"mww": [], "expand": 0, "rref": [], "rank": []}
+    listings = {}
     mww, expand, rref, rank, spanning = (
         oracle.monomials_with_weight, oracle.expand_generators,
         oracle.rref_of_rows, oracle.rank_of_rows, _GridQuotient._spanning_rows)
@@ -123,7 +124,8 @@ def test_blocks_built_once_per_ideal(capsys, monkeypatch):
 
     def counted_mww(n, wE, wF, bound=math.inf):
         calls["mww"].append(((wE, wF), bound))
-        return mww(n, wE, wF, bound)
+        listings[(wE, wF), bound] = mww(n, wE, wF, bound)
+        return listings[(wE, wF), bound]
 
     def counted_expand(spec_):
         calls["expand"] += 1
@@ -139,7 +141,7 @@ def test_blocks_built_once_per_ideal(capsys, monkeypatch):
 
     def named_rows(self, monos, *args):
         rows, nnz = spanning(self, monos, *args)
-        (w,) = [w for w, (m, _) in self.grid._blocks.items() if m is monos]
+        (w,) = [w for w, m in self.grid._blocks.items() if m is monos]
         named[id(rows)] = w, rows
         return rows, nnz
 
@@ -164,6 +166,9 @@ def test_blocks_built_once_per_ideal(capsys, monkeypatch):
     own = [(w, p) for w, p in quot._pieces if _relabelling(3, w)[0] == w]
     assert sorted(reduced) == sorted(own)
     assert {rep for rep, _ in reduced} < set(grid._blocks)
+    # the grid keeps each block as listed, and nothing else per n
+    assert all(m is listings[rep, math.inf] for rep, m in grid._blocks.items())
+    assert set(vars(grid)) == {"n", "_blocks", "_wedges"}
     listed = [(w, math.inf) for w in grid._blocks] + [
         (t, 1) for t in grid._wedges if _relabelling(3, t)[0] == t]
     assert Counter(calls["mww"]) == Counter(listed)
