@@ -1,16 +1,17 @@
 """Batch command-line surface with JSON/CSV envelopes, two-prime verified
 oracle values, a persistent result cache, and verification suites.
 
-An oracle value is computed once modulo the product of two random primes,
-which checks both primes in one pass, and one prime at a time only when a
-pivot of that pass is not a unit (see `agree_over_primes`).
+A command's oracle values are computed in one pass modulo the product of
+two random primes, which checks both primes at once, and over each prime
+alone only when a pivot of that pass is not a unit (see
+`agree_over_primes`); so the envelope's `primes` hold for every row.
 
 Exit codes: 0 success, 2 formula/oracle mismatch, failed verification,
 failed cache audit or three disagreeing primes, 3 resource cap exceeded,
 4 invalid parameters, among them a negative step (also `lascoux -j`),
 degree or --cap-nonzeros, which is rejected before any cell runs, an
 oracle degree of 2^16 or more, a --t or --steps range of more than 2^16
-values (`MAX_RANGE`, the same limit, checked before the range is built),
+values (`DEGREE_LIMIT` of the oracle, checked before the range is built),
 an `sr` --dim that disagrees with -k - 2 or either option given for
 perm2, and a cache directory that cannot be opened, read or written (a
 message on stderr, nothing on stdout).  A failure with exit 2 or 3 that
@@ -30,7 +31,7 @@ from . import __version__, formulas, lascoux, verify
 from .cache import CacheCorruptionError, ResultCache
 from .ideals import FAMILIES, IdealSpec
 from .modular import PrimeDisagreementError, agree_over_primes
-from .oracle import betti_oracle, hilbert_oracle
+from .oracle import DEGREE_LIMIT, betti_oracle, hilbert_oracle
 from .simplicial import alexander_dual_ideal, perm2_complex, skeleton_complex
 from .tensorspace import DEFAULT_NNZ_CAP, ResourceCapError
 
@@ -40,9 +41,6 @@ EXIT_RESOURCE = 3
 EXIT_INVALID = 4
 
 CACHE_ENV = "PERMRES_CACHE_DIR"
-
-# most values one --t or --steps range may hold: the oracle's degree limit
-MAX_RANGE = 1 << 16
 
 # failures that end in an `error` envelope: exception -> (type, exit code)
 _ERRORS = {
@@ -70,9 +68,10 @@ def _parse_range(text):
             lo, hi = int(lo), int(hi)
             if hi < lo:
                 raise ValueError(f"empty range {text!r}")
-            if hi - lo >= MAX_RANGE:
+            # at most as many values as the oracle has degrees
+            if hi - lo >= DEGREE_LIMIT:
                 raise ValueError(f"range {text!r} has {hi - lo + 1} values, "
-                                 f"more than {MAX_RANGE}")
+                                 f"more than {DEGREE_LIMIT}")
             return list(range(lo, hi + 1))
     return [int(part) for part in text.split(",")]
 
@@ -106,11 +105,13 @@ def _cells(args, cache_, kind, cells, formula, oracle):
     """One row per cell: the cell's keys, the closed form
     formula(spec, *keys) (`formulas.hilbert_formula` or `betti_formula`,
     the dispatch `permres verify` checks too), the oracle value
-    oracle(spec, *keys, field, cap=cap) agreed over two primes, and whether
-    the two match.  Each value is cached under the cell's keys and its
-    field's modulus: one file for the pass over both primes, or one per
-    prime when the pass falls back.  A negative key or cap is rejected
-    before any cell runs."""
+    oracle(spec, *keys, field, cap=cap), and whether the two match.  The
+    command's oracle values are agreed over two primes in one
+    `agree_over_primes` call, as a verify row's are, so the primes hold for
+    every row.  Each value is cached under the cell's keys and its field's
+    modulus: one file for the pass over both primes, or one per prime when
+    the pass falls back.  A negative key or cap is rejected before any cell
+    runs."""
     for cell in cells:
         for key, value in cell.items():
             if value < 0:
@@ -120,22 +121,22 @@ def _cells(args, cache_, kind, cells, formula, oracle):
             f"--cap-nonzeros must be nonnegative, got {args.cap_nonzeros}")
     spec = IdealSpec(_family(args.family), args.n, args.kappa)
     cap = None if args.expensive else args.cap_nonzeros
-    results = []
+    results = [dict(cell) for cell in cells]
     primes = []
-    for cell in cells:
-        row = dict(cell)
-        if args.mode in ("formula", "both"):
+    if args.mode in ("formula", "both"):
+        for row, cell in zip(results, cells):
             row["formula"] = formula(spec, *cell.values())
-        if args.mode in ("oracle", "both"):
-            row["oracle"], primes = agree_over_primes(
-                lambda f: cache_.get_or_compute(
-                    lambda: oracle(spec, *cell.values(), f, cap=cap),
-                    prime=f.modulus, kind=kind, family=spec.family, n=spec.n,
-                    kappa=spec.kappa, **cell),
-                args.prime_seed)
-        if row.get("formula") is not None and "oracle" in row:
-            row["match"] = row["formula"] == row["oracle"]
-        results.append(row)
+    if args.mode in ("oracle", "both"):
+        values, primes = agree_over_primes(
+            lambda f: [cache_.get_or_compute(
+                lambda: oracle(spec, *cell.values(), f, cap=cap),
+                prime=f.modulus, kind=kind, family=spec.family, n=spec.n,
+                kappa=spec.kappa, **cell) for cell in cells],
+            args.prime_seed)
+        for row, value in zip(results, values):
+            row["oracle"] = value
+            if row.get("formula") is not None:
+                row["match"] = row["formula"] == value
     return results, primes
 
 
@@ -197,12 +198,10 @@ def cmd_sr(args, cache_):
             raise ValueError(f"--dim {dim} disagrees with -k {args.kappa} "
                              "(dim = kappa - 2)")
         complex_ = skeleton_complex(args.n, dim)
-    elif args.complex == "perm2":
+    else:  # perm2; argparse rejects any other complex
         if args.dim is not None or args.kappa is not None:
             raise ValueError("perm2 takes neither --dim nor -k")
         complex_ = perm2_complex(args.n)
-    else:
-        raise ValueError(f"unknown complex {args.complex!r}")
     row = {
         "complex": args.complex,
         "n": args.n,

@@ -130,6 +130,8 @@ from .tensorspace import (
 
 # bits per exponent field of a packed monomial
 _BITS = 16
+# every oracle degree is below this, so each exponent fits its field
+DEGREE_LIMIT = 1 << _BITS
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +175,9 @@ def _pack(m, image=None):
 
 def _check_degree(d):
     """Every exponent of a degree-d monomial fits its packed field."""
-    if d >= 1 << _BITS:
+    if d >= DEGREE_LIMIT:
         raise ValueError(f"degree {d} exceeds the oracle's limit "
-                         f"{(1 << _BITS) - 1}")
+                         f"{DEGREE_LIMIT - 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +517,7 @@ def _monomial_coordinates():
     return faces.__getitem__
 
 
-def _differential(p, cap, source, target, columns=None):
+def _differential(p, cap, source, target, skip=frozenset()):
     """Rows mod p of the Koszul differential from the laid-out side
     `source` into `target`, one per source basis element in layout order:
     (T, b) goes to the sum over a of (-1)^a (T minus T[a], b x_T[a]).
@@ -526,10 +528,10 @@ def _differential(p, cap, source, target, columns=None):
     each entry is written once, and an entry zero mod p is left out.
     Modulo the product of a `PrimePair` an entry can still be zero modulo
     one of its primes; the rank kernel keeps it, and raises if it is ever a
-    pivot.  Position j becomes column `columns[j]`, or is dropped where
-    that is None, when `columns` is given; `cap` bounds the nonzeros of the
-    full map, and the running count is checked row by row, so a map past
-    the cap raises before it is built in full."""
+    pivot.  The positions in `skip` are dropped, and every other keeps its
+    number as its column; `cap` bounds the nonzeros of the full map, and
+    the running count is checked row by row, so a map past the cap raises
+    before it is built in full."""
     rows = []
     nnz = 0
     for T, (_, basis, _) in source.items():
@@ -546,10 +548,8 @@ def _differential(p, cap, source, target, columns=None):
                     nnz += len(coeffs)
                     for j, c in coeffs.items():
                         k = offset + j
-                        if columns is not None:
-                            k = columns[k]
-                            if k is None:
-                                continue
+                        if k in skip:
+                            continue
                         c = c * a % p
                         if c:
                             row[k] = p - c if odd else c
@@ -567,12 +567,13 @@ def _betti_block(quot, p, cap, i, w):
     The middle map is ranked first, and its nullity bounds the homology: at
     0 the block is done.  Otherwise the top map is ranked on the middle
     coordinates that are not pivot rows R of the middle map, and assembled
-    straight onto them.  Nothing is lost: the top map's image lies in the
-    middle map's kernel, and the kernel meets the span of the R coordinates
-    only in 0, since the rows in R map to independent vectors.  So dropping
-    those coordinates is one-to-one on the image, over every prime, and the
-    restricted top map has only nullity columns.  The cap bounds each full
-    differential of the side taken."""
+    straight onto them, each keeping its number.  Nothing is lost: the top
+    map's image lies in the middle map's kernel, and the kernel meets the
+    span of the R coordinates only in 0, since the rows in R map to
+    independent vectors.  So dropping those coordinates is one-to-one on
+    the image, over every prime, and the restricted top map has only
+    nullity columns.  The cap bounds each full differential of the side
+    taken."""
     lower, _, ideal_middle = _span(quot, p, cap, i, w)
     upper, quotient_middle, _ = _span(quot, p, cap, i + 1, w)
     if not min(quotient_middle, ideal_middle):
@@ -593,11 +594,8 @@ def _betti_block(quot, p, cap, i, w):
     top_dim, top = _layout(p, top, ideal)
     if not top_dim:
         return nullity
-    pivots = set(pivots)
-    free = itertools.count()
-    columns = [None if j in pivots else next(free) for j in range(middle_dim)]
     return nullity - rank_of_rows(
-        _differential(p, cap, top, middle.get, columns), p)
+        _differential(p, cap, top, middle.get, set(pivots)), p)
 
 
 # ---------------------------------------------------------------------------

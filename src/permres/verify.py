@@ -5,9 +5,10 @@ detail} so the results serialize directly into the CLI envelope.
 
 The oracle rows (`_oracle_row`) check the closed forms the CLI reports,
 through the same dispatch (`formulas.hilbert_formula` and `betti_formula`),
-and agree each row's oracle values over two primes as the CLI agrees a cell
-(`agree_over_primes`): one pass modulo p1 p2 per row, and one prime at a
-time only when a pivot of that pass is not a unit."""
+and agree each row's oracle values over two primes as the CLI agrees a
+command's cells, in one `agree_over_primes` call: one pass modulo p1 p2
+per row, and one prime at a time only when a pivot of that pass is not a
+unit.  The expensive 5200 row is one more such row."""
 
 import itertools
 import random
@@ -37,13 +38,14 @@ def _oracle_row(suite, check, cells, formula, oracle_, seed):
     """The row `check` of `suite` over the cells (spec, *keys): each cell's
     closed form formula(spec, *keys) against its oracle value
     oracle_(spec, *keys, field).  The row's oracle values are computed in
-    one `agree_over_primes` call, so the primes agree on the whole list: one
-    pass modulo p1 p2, and each prime alone (a third to break a tie) when a
-    pivot of that pass is not a unit.  So if the two primes disagree at two
-    different cells of one row, a third prime agrees with neither list and
-    `PrimeDisagreementError` is raised; that takes two independent bad
-    primes, and the CLI maps it to exit 2.  The detail lists the cells that
-    mismatch, each as (n, kappa, *keys, oracle, formula)."""
+    one `agree_over_primes` call, as a CLI command's are, so the primes
+    agree on the whole list: one pass modulo p1 p2, and each prime alone (a
+    third to break a tie) when a pivot of that pass is not a unit.  So if
+    the two primes disagree at two different cells of one row, a third
+    prime agrees with neither list and `PrimeDisagreementError` is raised;
+    that takes two independent bad primes, and the CLI maps it to exit 2.
+    The detail lists the cells that mismatch, each as (n, kappa, *keys,
+    oracle, formula)."""
     values, _ = agree_over_primes(
         lambda field: [oracle_(spec, *keys, field) for spec, *keys in cells],
         seed)
@@ -116,15 +118,12 @@ def verify_formulas(expensive=False, seed=0):
           for n in (3, 4) for r in (1, 2) if r < n],
          _det_strand, oracle.betti_oracle),
     ]
-    rows = [_oracle_row("formulas", *entry, seed) for entry in table]
-
     if expensive:
-        spec = IdealSpec("subpermanents", 5, 3)
-        got, _ = agree_over_primes(
-            lambda field: oracle.betti_oracle(spec, 1, 6, field), seed)
-        rows.append(_row("formulas", "perm-5-3-first-syzygies-degree-6",
-                         got == 5200, f"got {got}, expected 5200"))
-    return rows
+        # the paper's 5200 first syzygies of degree 6, off the linear strand
+        table.append(("perm-5-3-first-syzygies-degree-6",
+                      [(IdealSpec("subpermanents", 5, 3), 1, 6)],
+                      lambda spec, i, d: 5200, oracle.betti_oracle))
+    return [_oracle_row("formulas", *entry, seed) for entry in table]
 
 
 def verify_syzygies(expensive=False, seed=0):

@@ -19,7 +19,12 @@ from permres.cli import (
     _parse_range,
     main,
 )
-from permres.modular import NonUnitPivotError, PrimePair, prime_fields
+from permres.modular import (
+    NonUnitPivotError,
+    PrimePair,
+    agree_over_primes,
+    prime_fields,
+)
 from permres.tensorspace import DEFAULT_NNZ_CAP, ResourceCapError
 
 
@@ -346,7 +351,7 @@ def test_verify_expensive_row(capsys):
     assert [r["check"] for r in env["results"]] == VERIFY_CHECKS["formulas"] \
         + ["perm-5-3-first-syzygies-degree-6", "summary"]
     assert all(r["ok"] for r in env["results"])
-    assert env["results"][-2]["detail"] == "got 5200, expected 5200"
+    assert env["results"][-2]["detail"] == "[]"
 
 
 def test_invalid_parameters_exit_code(capsys, tmp_path):
@@ -364,7 +369,8 @@ def test_invalid_parameters_exit_code(capsys, tmp_path):
     for argv in (["betti", "--family", "subpermanents", "-n", "3", "-k", "2",
                   "--steps", "0..2", "--deg", "4"],
                  ["lascoux", "-n", "3", "-r", "3", "-j", "1"],
-                 ["sr", "--complex", "skeleton", "-n", "4"]):
+                 ["sr", "--complex", "skeleton", "-n", "4"],
+                 ["sr", "--complex", "bogus", "-n", "3"]):
         code = main([*argv, "--cache-dir", "none"])
         assert code == EXIT_INVALID, argv
         assert capsys.readouterr().out == "", argv
@@ -650,7 +656,9 @@ def test_fallback_per_prime_matches_one_pass(capsys, tmp_path, monkeypatch):
         directory = tmp_path / kind
         code, fallback = run_json(capsys, *argv, "--cache-dir", str(directory))
         assert code == EXIT_OK
-        assert len(raised) == len(cells)  # each cell tried the pair first
+        # the command's cells are agreed in one call, so the first cell's
+        # non-unit pivot sends every cell to the primes one at a time
+        assert len(raised) == 1
         assert fallback["results"] == want["results"]
         assert fallback["primes"] == want["primes"] == \
             [pair.first.modulus, pair.second.modulus]
@@ -660,6 +668,46 @@ def test_fallback_per_prime_matches_one_pass(capsys, tmp_path, monkeypatch):
                 **cell) + ".txt"
             for p in want["primes"] for cell in cells
         }
+
+
+def test_one_agreement_per_command(capsys, monkeypatch):
+    # a command's cells are agreed over the primes in one call, so the
+    # envelope's primes hold for every row
+    calls = []
+
+    def counted(compute, seed=0):
+        calls.append(seed)
+        return agree_over_primes(compute, seed)
+
+    monkeypatch.setattr(cli, "agree_over_primes", counted)
+    code, env = run_json(capsys, "hilbert", "--family", "subpermanents",
+                         "-n", "3", "-k", "2", "--t", "2..5",
+                         "--cache-dir", "none")
+    assert code == EXIT_OK
+    assert [row["t"] for row in env["results"]] == [2, 3, 4, 5]
+    assert all(row["match"] for row in env["results"])
+    assert calls == [0]
+
+
+def test_primes_wrong_at_two_cells_disagree(capsys, monkeypatch):
+    # the pair meets a non-unit pivot, then each prime alone is wrong at a
+    # different cell: the third prime matches neither list, as in a verify
+    # row, and the command exits 2
+    first, second = (f.modulus for f in prime_fields(0, 2))
+
+    def wrong_at_one_cell(spec, i, d, field_, cap):
+        if isinstance(field_, PrimePair):
+            raise NonUnitPivotError("planted non-unit pivot")
+        return int((field_.modulus, i) in ((first, 0), (second, 1)))
+
+    monkeypatch.setattr(cli, "betti_oracle", wrong_at_one_cell)
+    code, env = run_json(
+        capsys, "betti", "--family", "minors", "-n", "3", "-k", "2",
+        "--steps", "0..1", "--mode", "oracle", "--cache-dir", "none",
+    )
+    assert code == EXIT_MISMATCH
+    assert env["error"]["type"] == "prime-disagreement"
+    assert env["results"] == []
 
 
 # modules a JSON CLI call has no use for: numpy is a test dependency only,
