@@ -14,11 +14,20 @@ differentials, and for a Hilbert value each ideal block's spanning rows.
 All eliminations, and so the pivot sequence of every rank, are deterministic
 for a fixed modulus.
 
+The rank kernel works on small signed residues.  Every modulus is above
+2^30, so a value strictly inside +-2^30 (`SMALL`) is zero mod p only if it
+is 0: the kernel keeps such an entry as it is, input or elimination
+result, and reduces one (`residue`, into (-p/2, p/2]) only when it leaves
+that range.  Almost every entry of a Koszul matrix is +-1, which so stays
+CPython's cached 1 or -1, and their arithmetic stays within one 30-bit
+digit.  Which entries are nonzero, and so every pivot, is that of the
+fully reduced elimination.
+
 The fully reduced echelon form, `rref_of_rows`, is one Gauss-Jordan pass
 over the rows in input order that keeps every pivot row fully reduced, with
 its pivots at the leading columns.  It builds the quotient pieces of the
 Koszul windows only, whose bases need those pivots; no dimension is read
-off it.
+off it.  Its rows hold residues in [0, p).
 
 Both primes are checked in one pass.  By the Chinese remainder theorem
 Z/(p1 p2) is F_p1 x F_p2, so an elimination modulo M = p1 p2 whose every
@@ -39,6 +48,11 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 PRIME_LOW = 1 << 30
 PRIME_HIGH = 1 << 31
 
+# every modulus, a prime of a `PrimeField` or the product of a `PrimePair`,
+# is above 2^30, so a value strictly inside +-SMALL is zero mod p only if it
+# is 0; it is also one CPython digit
+SMALL = PRIME_LOW
+
 
 class PrimeDisagreementError(RuntimeError):
     """Three primes gave three different values for the same quantity."""
@@ -55,6 +69,13 @@ def _inverse(x, m):
         return pow(x, -1, m)
     except ValueError:
         raise NonUnitPivotError(f"pivot {x} is not a unit mod {m}") from None
+
+
+def residue(v, p):
+    """The residue of v mod p in (-p/2, p/2]: for a prime field, inside
+    +-SMALL."""
+    v %= p
+    return v - p if v > p >> 1 else v
 
 
 def is_prime(m):
@@ -140,9 +161,12 @@ def rank_of_rows(rows, p, *, pivot_rows=None):
     pivots in the active row with the fewest entries (lowest row index among
     equals), at the column of that row with the fewest occupants (lowest
     column among equals), so the pivot sequence is deterministic for a fixed
-    modulus.  The rows are read once, into a reduced copy mod p, and the
-    input is neither changed nor held past that: a list that only the call
-    refers to is freed before the elimination starts.
+    modulus.  The rows are read once, into a copy that keeps each entry
+    strictly inside +-SMALL as it is and reduces any other (`residue`), and
+    the input is neither changed nor held past that: a list that only the
+    call refers to is freed before the elimination starts.  An elimination
+    result, too, is reduced only when it leaves +-SMALL, so an entry is
+    zero mod p exactly when it is 0, and a +-1 entry stays the int 1 or -1.
 
     The column rule reads an exact count of each column's active rows.  Its
     occupants are read only when it becomes a pivot column, off an
@@ -162,10 +186,13 @@ def rank_of_rows(rows, p, *, pivot_rows=None):
     combination of earlier pivots, so the input rows at those positions span
     the same space as the pivots.
     """
-    active = {}      # input position -> {col: nonzero coeff mod p}
+    active = {}      # input position -> {col: residue, nonzero mod p}
     listed = {}      # occupied col -> positions that took an entry in it
     for i, row in enumerate(rows):
-        r = {c: v % p for c, v in row.items() if v % p}
+        r = {c: v if -SMALL < v < SMALL else residue(v, p)
+             for c, v in row.items()}
+        if 0 in r.values():
+            r = {c: v for c, v in r.items() if v}
         if r:
             active[i] = r
             for c in r:
@@ -173,7 +200,7 @@ def rank_of_rows(rows, p, *, pivot_rows=None):
                     listed[c].append(i)
                 else:
                     listed[c] = [i]
-    # the reduced copy is all the elimination reads: drop the input, so a
+    # the copy is all the elimination reads: drop the input, so a
     # caller that passed a temporary frees it now rather than on return
     del rows
     # occupied col -> number of active rows holding it
@@ -207,10 +234,16 @@ def rank_of_rows(rows, p, *, pivot_rows=None):
         if c not in count:
             continue
         del count[c]
+        inv = residue(inv, p)
         # every other column of the pivot row has at least as many other
         # active rows as c has occupants, so it stays counted whenever an
         # occupant gains an entry in it below
-        pivot = [(cc, vv * inv % p) for cc, vv in row.items() if cc != c]
+        pivot = []
+        for cc, vv in row.items():
+            if cc != c:
+                vv *= inv
+                pivot.append((cc, vv if -SMALL < vv < SMALL
+                              else residue(vv, p)))
         for j in listed.pop(c):
             other = active.get(j)
             if other is None:
@@ -222,11 +255,15 @@ def rank_of_rows(rows, p, *, pivot_rows=None):
             for cc, vv in pivot:
                 old = other.get(cc)
                 if old is None:
-                    other[cc] = -f * vv % p
+                    new = -f * vv
+                    other[cc] = (new if -SMALL < new < SMALL
+                                 else residue(new, p))
                     count[cc] += 1
                     listed[cc].append(j)
                 else:
-                    new = (old - f * vv) % p
+                    new = old - f * vv
+                    if not -SMALL < new < SMALL:
+                        new = residue(new, p)
                     if new:
                         other[cc] = new
                     elif count[cc] == 1:

@@ -118,7 +118,7 @@ import weakref
 from math import factorial
 
 from .ideals import expand_generators
-from .modular import rank_of_rows, rref_of_rows
+from .modular import SMALL, rank_of_rows, residue, rref_of_rows
 from .partitions import partitions
 from .tensorspace import (
     DEFAULT_NNZ_CAP,
@@ -355,15 +355,17 @@ class _GridQuotient:
     def _echelon(self, rep, p, cap):
         """The representative block's piece mod p: the complement of the
         pivot monomials of the fully reduced echelon form of its spanning
-        rows, each monomial's rewriting mod I read off that form, and the
-        rows' nonzero count."""
+        rows, each monomial's rewriting mod I read off that form, with each
+        coefficient its residue in (-p/2, p/2] (`residue`), so that -1 is
+        the int -1, and the rows' nonzero count."""
         monos, packed = self.grid.block(rep)
         rows, nnz = self._spanning_rows(monos, packed, cap)
         pivots = rref_of_rows(rows, p)
         free = [i for i in range(len(packed)) if i not in pivots]
         position = {i: k for k, i in enumerate(free)}
-        reduce_map = {M: {position[c]: -v % p for c, v in pivots[i].items()
-                          if c != i} if i in pivots else {position[i]: 1}
+        reduce_map = {M: {position[c]: residue(-v, p)
+                          for c, v in pivots[i].items() if c != i}
+                      if i in pivots else {position[i]: 1}
                       for i, M in enumerate(packed)}
         return [packed[i] for i in free], reduce_map, nnz
 
@@ -468,7 +470,7 @@ def _span(quot, p, cap, r, w):
     return pieces, qdim, idim
 
 
-def _side(p, qbasis, reduce_map, ideal):
+def _side(qbasis, reduce_map, ideal):
     """(basis, read) of one piece on one side.  A basis element is a tuple
     of (monomial, coefficient) terms, and `read` gives each monomial of the
     piece its coordinates, {position: coefficient}.  On the quotient side
@@ -477,7 +479,8 @@ def _side(p, qbasis, reduce_map, ideal):
     the non-standard monomials P, and `read` takes P to {P's position: 1}
     and a standard monomial to nothing: the b_P span I's piece, and an
     element of it has its coefficients at the non-standard monomials as
-    coordinates."""
+    coordinates.  The coefficients of b_P negate those of P's rewriting,
+    residues in (-p/2, p/2], so they are residues there too."""
     if not ideal:
         return [((u, 1),) for u in qbasis], reduce_map
     read = dict.fromkeys(qbasis, {})
@@ -485,7 +488,7 @@ def _side(p, qbasis, reduce_map, ideal):
     for P, coeffs in reduce_map.items():
         if P not in read:
             read[P] = {len(basis): 1}
-            basis.append(((P, 1),) + tuple((qbasis[k], p - c)
+            basis.append(((P, 1),) + tuple((qbasis[k], -c)
                                            for k, c in coeffs.items()))
     return basis, read
 
@@ -494,11 +497,12 @@ def _layout(p, pieces, ideal):
     """One side of a window's pieces laid out by offsets: its dimension and
     {wedge: (offset, basis, read)} for the wedges whose piece on that side
     is nonzero (see `_side`).  The basis element k of T's piece sits at T's
-    offset plus k, in the order of the wedges."""
+    offset plus k, in the order of the wedges.  The pieces of modulus p
+    hold residues already, so p itself is not read."""
     layout = {}
     dim = 0
     for group, qbasis, reduce_map in pieces:
-        basis, read = _side(p, qbasis, reduce_map, ideal)
+        basis, read = _side(qbasis, reduce_map, ideal)
         if basis:
             for T in group:
                 layout[T] = (dim, basis, read)
@@ -528,12 +532,19 @@ def _differential(p, cap, source, target, skip=frozenset()):
     each entry is written once, and an entry zero mod p is left out.
     Modulo the product of a `PrimePair` an entry can still be zero modulo
     one of its primes; the rank kernel keeps it, and raises if it is ever a
-    pivot.  The positions in `skip` are dropped, and every other keeps its
-    number as its column; `cap` bounds the nonzeros of the full map, and
-    the running count is checked row by row, so a map past the cap raises
-    before it is built in full."""
+    pivot.  Each entry is the signed product of a basis coefficient and a
+    read coefficient, kept as it is while strictly inside +-SMALL, where it
+    is zero mod p only if it is 0, and reduced (`residue`) otherwise; so a
+    +-1 entry is the int 1 or -1.  The positions in `skip` are dropped, and
+    every other keeps its number as its column, taken from one table per
+    call, so every row that holds a column keys it by the same int; `cap`
+    bounds the nonzeros of the full map, and the running count is checked
+    row by row, so a map past the cap raises before it is built in full."""
     rows = []
     nnz = 0
+    # column number -> the one int that every row holding it uses as key,
+    # or None for a dropped position
+    column = dict.fromkeys(skip).setdefault
     for T, (_, basis, _) in source.items():
         faces = []
         for a, v in enumerate(T):
@@ -546,13 +557,18 @@ def _differential(p, cap, source, target, skip=frozenset()):
                 for u, a in b:
                     coeffs = read[u + x_v]
                     nnz += len(coeffs)
+                    if odd:
+                        a = -a
                     for j, c in coeffs.items():
                         k = offset + j
-                        if k in skip:
+                        k = column(k, k)
+                        if k is None:
                             continue
-                        c = c * a % p
+                        c *= a
+                        if not -SMALL < c < SMALL:
+                            c = residue(c, p)
                         if c:
-                            row[k] = p - c if odd else c
+                            row[k] = c
             check_cap(nnz, cap, "Koszul window nonzeros")
             rows.append(row)
     return rows

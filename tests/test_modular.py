@@ -188,6 +188,40 @@ def _rank_and_pivot_rows(rows, p):
     return rank, out
 
 
+def test_rank_kernel_at_the_small_residue_bound():
+    # the kernel keeps an entry unreduced while it lies strictly inside
+    # +-2^30, below every modulus.  Entries on both sides of that bound and
+    # of the residue range (-m/2, m/2], then pairs of rows whose
+    # elimination leaves -p, a nonzero multiple of p inside +-2^31, from a
+    # sum and from a product: the kernel must see it as 0 mod p
+    f1, f2 = prime_fields(0, 2)
+    p, q = f1.modulus, f2.modulus
+    h = p // 2
+    cancel = [{0: 1, 1: h}, {0: 1, 1: h - p},
+              {2: 1, 3: h + 1}, {2: 1, 3: h + 1 - p},
+              {4: 1, 5: 2}, {4: h + 1, 5: 1}]
+    assert _rank_and_pivot_rows(cancel, p)[0] == 3 == \
+        _dense_rank_of_used_columns(cancel, p)
+    # modulo p * q the same rows leave a non-unit
+    with pytest.raises(NonUnitPivotError):
+        rank_of_rows(cancel, p * q)
+    for m in (p, p * q):
+        edge = [1, -1, 2, -2, (1 << 30) - 1, 1 - (1 << 30), 1 << 30,
+                -(1 << 30), m // 2, m // 2 + 1, 1 - m]
+        rng = random.Random(0)
+        rows = [{c: rng.choice(edge) for c in rng.sample(range(30), 4)}
+                for _ in range(40)]
+        rows += [{c: v} for c, v in enumerate(edge)]
+        out = []
+        rank = rank_of_rows(rows, m, pivot_rows=out)
+        for prime in (p, q) if m != p else (p,):
+            assert rank == _dense_rank_of_used_columns(rows, prime)
+            assert rank == _dense_rank_of_used_columns(
+                [rows[k] for k in out], prime)
+        if m == p:
+            assert (rank, out) == _rank_and_pivot_rows(rows, p)
+
+
 def test_pivot_rows_keyword_only():
     # a third positional argument would read as a column count to callers
     # that wrap the kernel, so `pivot_rows` is passed by keyword only

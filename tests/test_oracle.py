@@ -670,6 +670,37 @@ def _window_maps(quot, p, cap, i, w, ideal):
             _differential(p, cap, top, middle.get))
 
 
+def test_differential_shares_column_ints_and_small_residues(field):
+    # every entry of one column of a Koszul differential is keyed by one
+    # int object, also past CPython's cached ints (-5..256), and an entry
+    # that is +-1 mod p is the cached 1 or -1, not p - 1.  The quotient
+    # side's maps of this block at step 1 have 426 and 1856 columns
+    p = field.modulus
+    quot = _graded_quotient(IdealSpec("subpermanents", 5, 3))
+    w = ((2, 1, 1, 1, 1), (2, 1, 1, 1, 1))
+    bottom = _layout(p, _span(quot, p, None, 1, w)[0], False)[1].get
+    _, middle = _layout(p, _span(quot, p, None, 2, w)[0], False)
+    _, top = _layout(p, _span(quot, p, None, 3, w)[0], False)
+    rows = _differential(p, None, middle, bottom)
+    pivots = []
+    rank_of_rows(rows, p, pivot_rows=pivots)
+    top_rows = _differential(p, None, top, middle.get, set(pivots))
+    for matrix in (rows, top_rows):
+        keys = {}
+        for row in matrix:
+            for k in row:
+                keys.setdefault(k, set()).add(id(k))
+        assert max(keys) > 256
+        assert all(len(ids) == 1 for ids in keys.values())
+        unit = [row for row in matrix
+                if all(v % p in (1, p - 1) for v in row.values())]
+        assert len(unit) > len(matrix) // 2
+        assert all(-(1 << 30) < v < 1 << 30 for row in unit
+                   for v in row.values())
+        assert any(-1 in row.values() for row in unit)
+    assert not set(pivots) & {k for row in top_rows for k in row}
+
+
 def test_betti_block_restricted_top_map(field):
     # `_betti_block` takes one side of 0 -> I -> S -> S/I per block and
     # ranks the top map only on the middle coordinates off the middle map's
