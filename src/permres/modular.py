@@ -167,6 +167,8 @@ def rank_of_rows(rows, p, *, pivot_rows=None):
     call refers to is freed before the elimination starts.  An elimination
     result, too, is reduced only when it leaves +-SMALL, so an entry is
     zero mod p exactly when it is 0, and a +-1 entry stays the int 1 or -1.
+    A +-1 pivot is its own inverse modulo every modulus; every other pivot
+    is inverted, which checks that it is a unit.
 
     The column rule reads an exact count of each column's active rows.  Its
     occupants are read only when it becomes a pivot column, off an
@@ -228,13 +230,15 @@ def rank_of_rows(rows, p, *, pivot_rows=None):
                 del count[cc], listed[cc]
             else:
                 count[cc] -= 1
-        # every pivot is inverted, also one with no rows to clear: modulo a
-        # product of primes that is the check that it is a unit
-        inv = _inverse(row[c], p)
+        # a +-1 pivot is a unit modulo every modulus and its own inverse;
+        # every other pivot is inverted, also one with no rows to clear:
+        # modulo a product of primes that is the check that it is a unit
+        inv = row[c]
+        if inv != 1 and inv != -1:
+            inv = residue(_inverse(inv, p), p)
         if c not in count:
             continue
         del count[c]
-        inv = residue(inv, p)
         # every other column of the pivot row has at least as many other
         # active rows as c has occupants, so it stays counted whenever an
         # occupant gains an entry in it below

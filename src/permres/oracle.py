@@ -95,10 +95,15 @@ The ideal's piece is read off the memoised quotient piece, with no second
 elimination: each monomial P outside the quotient basis gives
 b_P = P - sum_k c_k u_k from its rewriting sum_k c_k u_k, the b_P are a
 basis of the ideal's piece, and an element of the ideal has its
-coefficients at those P as coordinates.  The ideal side's middle map is
-written into monomial coordinates of Lambda^(i-1) (x) S, numbered as they
-are met: I is a subspace of S, so the rank is the same, and no piece of
-degree d-i+1 is listed or eliminated.
+coefficients at those P as coordinates.  Neither side copies a piece: a
+layout's basis is the piece's quotient basis list, or the list of its
+non-standard monomials P, the piece's own ints; the terms of b_P are read
+off the reduction map only while b_P's row is written; and the ideal side
+reads P as {P's position: 1}, one dict per position that every layout
+shares.  The ideal side's middle map is written into monomial coordinates
+of Lambda^(i-1) (x) S, numbered as they are met: I is a subspace of S, so
+the rank is the same, and no piece of degree d-i+1 is listed or
+eliminated.
 
 A block's homology is the nullity of its middle map minus the rank of its
 top map, and the middle map is ranked first.  A block with nullity 0 stops
@@ -470,53 +475,65 @@ def _span(quot, p, cap, r, w):
     return pieces, qdim, idim
 
 
+# {j: 1} at position j, shared by every layout: the ideal side reads its
+# j-th non-standard monomial through it, so no layout builds a dict per
+# monomial.  It grows to the largest ideal piece laid out, and nothing
+# writes to its dicts.
+_UNIT_READS = []
+
+
 def _side(qbasis, reduce_map, ideal):
-    """(basis, read) of one piece on one side.  A basis element is a tuple
-    of (monomial, coefficient) terms, and `read` gives each monomial of the
-    piece its coordinates, {position: coefficient}.  On the quotient side
-    the basis is the quotient basis and `read` the reduction map.  On the
-    ideal side the basis is b_P = P - sum_k reduce_map[P][k] qbasis[k] over
-    the non-standard monomials P, and `read` takes P to {P's position: 1}
-    and a standard monomial to nothing: the b_P span I's piece, and an
-    element of it has its coefficients at the non-standard monomials as
-    coordinates.  The coefficients of b_P negate those of P's rewriting,
-    residues in (-p/2, p/2], so they are residues there too."""
+    """(basis, read, tail) of one piece on one side, by reference into the
+    piece, with no copy of it.  `read` gives each monomial of the piece its
+    coordinates, {position: coefficient}.  A basis element b has the term
+    (b, 1), and when `tail` = (qbasis, reduce_map) is not None also the
+    terms (qbasis[k], -c) over reduce_map[b].items() as (k, c).  On the
+    quotient side the basis is the quotient basis list itself, `read` the
+    reduction map and `tail` None.  On the ideal side the basis lists the
+    non-standard monomials P, the piece's own ints, each for
+    b_P = P - sum_k reduce_map[P][k] qbasis[k], and `read` takes P to the
+    shared {P's position: 1} (`_UNIT_READS`) and a standard monomial to
+    nothing: the b_P span I's piece, and an element of it has its
+    coefficients at the non-standard monomials as coordinates.  The
+    coefficients of b_P negate those of P's rewriting, residues in
+    (-p/2, p/2], so they are residues there too."""
     if not ideal:
-        return [((u, 1),) for u in qbasis], reduce_map
+        return qbasis, reduce_map, None
     read = dict.fromkeys(qbasis, {})
-    basis = []
-    for P, coeffs in reduce_map.items():
-        if P not in read:
-            read[P] = {len(basis): 1}
-            basis.append(((P, 1),) + tuple((qbasis[k], -c)
-                                           for k, c in coeffs.items()))
-    return basis, read
+    basis = [P for P in reduce_map if P not in read]
+    for j in range(len(_UNIT_READS), len(basis)):
+        _UNIT_READS.append({j: 1})
+    read.update(zip(basis, _UNIT_READS))
+    return basis, read, (qbasis, reduce_map)
 
 
-def _layout(p, pieces, ideal):
+def _layout(pieces, ideal):
     """One side of a window's pieces laid out by offsets: its dimension and
-    {wedge: (offset, basis, read)} for the wedges whose piece on that side
-    is nonzero (see `_side`).  The basis element k of T's piece sits at T's
-    offset plus k, in the order of the wedges.  The pieces of modulus p
-    hold residues already, so p itself is not read."""
+    {wedge: (offset, read, (basis, tail))} for the wedges whose piece on
+    that side is nonzero, from the piece's `_side`; every wedge of the
+    piece's group shares its read and one (basis, tail) pair.  The basis
+    element k of T's piece sits at T's offset plus k, in the order of the
+    wedges."""
     layout = {}
     dim = 0
     for group, qbasis, reduce_map in pieces:
-        basis, read = _side(qbasis, reduce_map, ideal)
+        basis, read, tail = _side(qbasis, reduce_map, ideal)
         if basis:
+            elements = basis, tail
             for T in group:
-                layout[T] = (dim, basis, read)
+                layout[T] = (dim, read, elements)
                 dim += len(basis)
     return dim, layout
 
 
 def _monomial_coordinates():
     """Lambda^r (x) S in monomial coordinates, as a differential's target:
-    each wedge reads every monomial m as {column of (wedge, m): 1}, and the
-    columns are numbered as the differential meets them, so no piece of S
-    is listed or eliminated."""
+    each wedge is (0, read), offset 0 with a read that takes every
+    monomial m to {column of (wedge, m): 1}, and the columns are numbered
+    as the differential meets them, so no piece of S is listed or
+    eliminated."""
     columns = itertools.count()
-    faces = collections.defaultdict(lambda: (0, None, collections.defaultdict(
+    faces = collections.defaultdict(lambda: (0, collections.defaultdict(
         lambda: {next(columns): 1})))
     return faces.__getitem__
 
@@ -525,9 +542,12 @@ def _differential(p, cap, source, target, skip=frozenset()):
     """Rows mod p of the Koszul differential from the laid-out side
     `source` into `target`, one per source basis element in layout order:
     (T, b) goes to the sum over a of (-1)^a (T minus T[a], b x_T[a]).
-    `target(wedge)` is that wedge's (offset, _, read) or None where its
-    piece is zero, and b x_v is read term by term, each packed term plus
-    the int of x_v, straight onto the positions after T minus v's offset.
+    `target(wedge)` is that wedge's (offset, read, ...), as `_layout` lays
+    it out, or None where its piece is zero.  The terms of b, (b, 1)
+    and on the ideal side the tail (qbasis[k], -c) of b's rewriting (see
+    `_side`), are listed only while b's row is written, and b x_v is read
+    term by term, each packed term plus the int of x_v, straight onto the
+    positions after T minus v's offset; one loop serves both sides.
     Distinct terms and distinct v give distinct columns on either side, so
     each entry is written once, and an entry zero mod p is left out.
     Modulo the product of a `PrimePair` an entry can still be zero modulo
@@ -545,16 +565,20 @@ def _differential(p, cap, source, target, skip=frozenset()):
     # column number -> the one int that every row holding it uses as key,
     # or None for a dropped position
     column = dict.fromkeys(skip).setdefault
-    for T, (_, basis, _) in source.items():
+    for T, (_, _, (basis, tail)) in source.items():
         faces = []
         for a, v in enumerate(T):
             face = target(T[:a] + T[a + 1:])
             if face is not None:
-                faces.append((1 << _BITS * v, a % 2, face[0], face[2]))
+                faces.append((1 << _BITS * v, a % 2, face[0], face[1]))
+        qbasis, tails = tail or (None, None)
         for b in basis:
+            terms = [(b, 1)]
+            if tails is not None:
+                terms += [(qbasis[k], -v) for k, v in tails[b].items()]
             row = {}
             for x_v, odd, offset, read in faces:
-                for u, a in b:
+                for u, a in terms:
                     coeffs = read[u + x_v]
                     nnz += len(coeffs)
                     if odd:
@@ -598,8 +622,8 @@ def _betti_block(quot, p, cap, i, w):
     if ideal:
         middle, top, bottom = lower, upper, _monomial_coordinates()
     else:
-        middle, top, bottom = upper, None, _layout(p, lower, False)[1].get
-    middle_dim, middle = _layout(p, middle, ideal)
+        middle, top, bottom = upper, None, _layout(lower, False)[1].get
+    middle_dim, middle = _layout(middle, ideal)
     pivots = []
     nullity = middle_dim - rank_of_rows(
         _differential(p, cap, middle, bottom), p, pivot_rows=pivots)
@@ -607,7 +631,7 @@ def _betti_block(quot, p, cap, i, w):
         return 0
     if top is None:
         top = _span(quot, p, cap, i + 2, w)[0]
-    top_dim, top = _layout(p, top, ideal)
+    top_dim, top = _layout(top, ideal)
     if not top_dim:
         return nullity
     return nullity - rank_of_rows(

@@ -3,8 +3,9 @@ deliberately naive: counting objects one by one, never through the closed
 forms they are checking.  Small helpers that only tests use as independent
 references live here too: the regular-weight predicate, the dimension of an
 induced module, a dense rank and reduced echelon form over F_p by row
-reduction with numpy, and the Markowitz pivot order of the sparse rank
-kernel, found by scanning every row at each step."""
+reduction with numpy, the Markowitz pivot order of the sparse rank
+kernel, found by scanning every row at each step, and a Koszul window's
+differential built from basis elements copied out as their terms."""
 
 import itertools
 from functools import cache
@@ -266,6 +267,60 @@ def naive_betti(spec, i, d, field_):
     if spaces[i + 2][0]:
         rank_top = rank_of_rows(rows_of(i + 2, d - i - 1), p)
     return nullity - rank_top
+
+
+def term_layout(pieces, ideal):
+    """A side of a Koszul window laid out with each basis element copied
+    out as its terms: (dimension, {wedge: (offset, read, basis)}) over the
+    (wedges, quotient basis, reduction map) pieces of one r.  A basis
+    element is a tuple of (monomial, coefficient) terms.  The quotient side
+    has ((u, 1),) per quotient basis monomial u and reads through the
+    reduction map.  The ideal side has b_P = P - sum_k c_k qbasis[k] per
+    non-standard monomial P, its rewriting being {k: c_k}, and reads P as a
+    fresh {P's position: 1} and a standard monomial as {}."""
+    layout = {}
+    dim = 0
+    for group, qbasis, reduce_map in pieces:
+        if ideal:
+            nonstandard = [P for P in reduce_map if P not in set(qbasis)]
+            basis = [((P, 1),) + tuple((qbasis[k], -c) for k, c in
+                                       reduce_map[P].items())
+                     for P in nonstandard]
+            read = {u: {} for u in qbasis}
+            read.update({P: {j: 1} for j, P in enumerate(nonstandard)})
+        else:
+            basis = [((u, 1),) for u in qbasis]
+            read = reduce_map
+        if basis:
+            for T in group:
+                layout[T] = (dim, read, basis)
+                dim += len(basis)
+    return dim, layout
+
+
+def term_differential(p, source, target, bits, skip=()):
+    """Rows mod p, entries in [0, p), of the Koszul differential from a
+    `term_layout` side into `target` (wedge -> (offset, read, ...) or
+    None): (T, b) goes to the sum over a of (-1)^a (T minus T[a], b x_T[a]),
+    where multiplying a packed monomial by x_v adds 1 << bits * v, each
+    term of b read through the face's read map and summed entry by entry;
+    the columns in `skip` are left out."""
+    rows = []
+    for T, (_, _, basis) in source.items():
+        for b in basis:
+            row = {}
+            for a, v in enumerate(T):
+                face = target(T[:a] + T[a + 1:])
+                if face is None:
+                    continue
+                offset, read = face[0], face[1]
+                for u, c in b:
+                    for j, x in read[u + (1 << bits * v)].items():
+                        k = offset + j
+                        if k not in skip:
+                            row[k] = (row.get(k, 0) + (-1) ** a * c * x) % p
+            rows.append({k: x for k, x in row.items() if x})
+    return rows
 
 
 def brute_force_faces(n_vertices, nonfaces, max_dim):

@@ -7,11 +7,13 @@ from enumeration import dense_rank, dense_rref, markowitz_pivots
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permres import modular
 from permres.modular import (
     NonUnitPivotError,
     PrimeDisagreementError,
     PrimeField,
     PrimePair,
+    _inverse,
     agree_over_primes,
     is_prime,
     prime_fields,
@@ -220,6 +222,36 @@ def test_rank_kernel_at_the_small_residue_bound():
                 [rows[k] for k in out], prime)
         if m == p:
             assert (rank, out) == _rank_and_pivot_rows(rows, p)
+
+
+def test_unit_pivots_skip_the_inverse(monkeypatch):
+    # a +-1 pivot is its own inverse modulo every modulus, so the kernel
+    # inverts only the other pivots, each once, also one with no rows to
+    # clear, and a non-unit modulo p * q still raises
+    f1, f2 = prime_fields(0, 2)
+    p, q = f1.modulus, f2.modulus
+    inverted = []
+
+    def counted(x, m):
+        inverted.append(x)
+        return _inverse(x, m)
+
+    monkeypatch.setattr(modular, "_inverse", counted)
+    for m in (p, p * q):
+        # a +-1 matrix whose elimination fills in and keeps +-1 pivots
+        assert rank_of_rows(_simplex_boundary(10, 3), m) == math.comb(9, 3)
+        assert inverted == []
+        diagonal = [{c: v} for c, v in enumerate((2, 1, 3, -1, 5))]
+        assert rank_of_rows(diagonal, m) == 5
+        assert sorted(inverted) == [2, 3, 5]
+        inverted.clear()
+        # the first row clears the second to {1: -2}, the one other pivot
+        assert rank_of_rows([{0: 1, 1: 1}, {0: 1, 1: -1}], m) == 2
+        assert inverted == [-2]
+        inverted.clear()
+    with pytest.raises(NonUnitPivotError):
+        rank_of_rows([{0: 1, 1: 1}, {0: p}], p * q)
+    assert inverted == [p]
 
 
 def test_pivot_rows_keyword_only():

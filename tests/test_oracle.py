@@ -13,6 +13,8 @@ from enumeration import (
     count_monomials_with_support,
     monomials_dense,
     naive_betti,
+    term_differential,
+    term_layout,
 )
 from permres import cli, oracle
 from permres.ideals import FAMILIES, IdealSpec, expand_generators
@@ -447,7 +449,7 @@ def test_cap_stops_the_build_it_bounds(field, monkeypatch):
     quot.quotient(w, p, total)
     assert quot._pieces[w, p][2] == total
     # the ideal side's middle map of the same block at step 1
-    _, middle = _layout(p, _span(quot, p, None, 1, w)[0], True)
+    _, middle = _layout(_span(quot, p, None, 1, w)[0], True)
     full = _differential(p, None, middle, _monomial_coordinates())
     total = counts[-1]
     assert total == 30 == sum(map(len, full))
@@ -660,12 +662,12 @@ def _window_maps(quot, p, cap, i, w, ideal):
     upper = _span(quot, p, cap, i + 1, w)[0]
     if ideal:
         bottom = _monomial_coordinates()
-        middle_dim, middle = _layout(p, lower, True)
-        _, top = _layout(p, upper, True)
+        middle_dim, middle = _layout(lower, True)
+        _, top = _layout(upper, True)
     else:
-        bottom = _layout(p, lower, False)[1].get
-        middle_dim, middle = _layout(p, upper, False)
-        _, top = _layout(p, _span(quot, p, cap, i + 2, w)[0], False)
+        bottom = _layout(lower, False)[1].get
+        middle_dim, middle = _layout(upper, False)
+        _, top = _layout(_span(quot, p, cap, i + 2, w)[0], False)
     return (middle_dim, _differential(p, cap, middle, bottom),
             _differential(p, cap, top, middle.get))
 
@@ -678,9 +680,9 @@ def test_differential_shares_column_ints_and_small_residues(field):
     p = field.modulus
     quot = _graded_quotient(IdealSpec("subpermanents", 5, 3))
     w = ((2, 1, 1, 1, 1), (2, 1, 1, 1, 1))
-    bottom = _layout(p, _span(quot, p, None, 1, w)[0], False)[1].get
-    _, middle = _layout(p, _span(quot, p, None, 2, w)[0], False)
-    _, top = _layout(p, _span(quot, p, None, 3, w)[0], False)
+    bottom = _layout(_span(quot, p, None, 1, w)[0], False)[1].get
+    _, middle = _layout(_span(quot, p, None, 2, w)[0], False)
+    _, top = _layout(_span(quot, p, None, 3, w)[0], False)
     rows = _differential(p, None, middle, bottom)
     pivots = []
     rank_of_rows(rows, p, pivot_rows=pivots)
@@ -699,6 +701,98 @@ def test_differential_shares_column_ints_and_small_residues(field):
                    for v in row.values())
         assert any(-1 in row.values() for row in unit)
     assert not set(pivots) & {k for row in top_rows for k in row}
+
+
+def _both_layouts(quot, p, i, w, ideal):
+    """The bottom target and the [middle, top] layouts of the weight-w
+    block's window at step i on one side, once as `_layout` lays them out
+    and once as `term_layout` does.  The ideal side's bottom is one
+    numbering of monomial columns, shared by both, so that either may meet
+    a column first."""
+    spans = [_span(quot, p, None, r, w)[0] for r in (i, i + 1, i + 2)]
+    if ideal:
+        bottom = _monomial_coordinates()
+        return [(bottom, [lay(s, True)[1] for s in spans[:2]])
+                for lay in (_layout, term_layout)]
+    both = []
+    for lay in (_layout, term_layout):
+        lower, middle, top = (lay(s, False)[1] for s in spans)
+        both.append((lower.get, [middle, top]))
+    return both
+
+
+def test_differential_matches_term_layouts(field):
+    # the layouts hand out the pieces' own lists and monomials, and
+    # `_differential` lists each element's terms as it writes its row: the
+    # rows, row by row, must be those of the layouts that copy every b_P out
+    # as its terms and read P through a fresh {P's position: 1}; on both
+    # sides, for the middle map and the top map off the middle's pivot rows,
+    # at every block of degree kappa + i and kappa + i + 1 at steps i <= 2
+    # for n <= 3, and at one 5x5 block whose maps hold hundreds of rows
+    p = field.modulus
+    blocks = [(IdealSpec("subpermanents", 5, 3), 1,
+               ((2, 1, 1, 1, 1), (2, 1, 1, 1, 1)))]
+    for family, n in itertools.product(FAMILIES, (1, 2, 3)):
+        for kappa, i in itertools.product(range(1, n + 1), (0, 1, 2)):
+            spec = IdealSpec(family, n, kappa)
+            blocks += [(spec, i, w) for d in (kappa + i, kappa + i + 1)
+                       for w, _ in _graded_quotient(spec).weights(d)]
+    compared = Counter()
+    for spec, i, w in blocks:
+        quot = _graded_quotient(spec)
+        for ideal in (False, True):
+            (bottom, (middle, top)), (old_bottom, (old_middle, old_top)) = \
+                _both_layouts(quot, p, i, w, ideal)
+            rows = _differential(p, None, middle, bottom)
+            want = term_differential(p, old_middle, old_bottom, oracle._BITS)
+            where = (spec, i, w, ideal)
+            assert [{k: v % p for k, v in row.items()} for row in rows] == \
+                want, where
+            pivots = []
+            rank_of_rows(rows, p, pivot_rows=pivots)
+            rows = _differential(p, None, top, middle.get, set(pivots))
+            want = term_differential(p, old_top, old_middle.get,
+                                     oracle._BITS, set(pivots))
+            assert [{k: v % p for k, v in row.items()} for row in rows] == \
+                want, where
+            compared[ideal] += bool(rows)
+    # both sides write top maps, and no layout wrote to a shared read row
+    assert min(compared.values()) > 100, compared
+    assert all(row == {j: 1} for j, row in enumerate(oracle._UNIT_READS))
+
+
+def test_layouts_hold_the_pieces_by_reference(field):
+    # a layout copies no piece: the quotient side's basis and read are the
+    # piece's quotient basis list and reduction map, the ideal side's basis
+    # lists the piece's own monomial ints, and the ideal side reads the
+    # monomial at position j through one dict {j: 1}, the same in every
+    # piece and every layout
+    p = field.modulus
+    quot = _graded_quotient(IdealSpec("subpermanents", 5, 3))
+    w = ((2, 1, 1, 1, 1), (2, 1, 1, 1, 1))
+    reads = {}
+    for r in (1, 2):
+        pieces = _span(quot, p, None, r, w)[0]
+        for ideal in (False, True):
+            for _ in range(2):
+                _, layout = _layout(pieces, ideal)
+                for group, qbasis, reduce_map in pieces:
+                    for T in group:
+                        if T not in layout:
+                            continue
+                        _, read, (basis, _) = layout[T]
+                        if not ideal:
+                            assert basis is qbasis and read is reduce_map
+                            continue
+                        own = {id(M) for M in reduce_map}
+                        assert basis == [M for M in reduce_map
+                                         if M not in set(qbasis)]
+                        assert all(id(P) in own for P in basis)
+                        for j, P in enumerate(basis):
+                            assert read[P] == {j: 1}
+                            reads.setdefault(j, set()).add(id(read[P]))
+    assert len(reads) > 1
+    assert all(len(ids) == 1 for ids in reads.values())
 
 
 def test_betti_block_restricted_top_map(field):
